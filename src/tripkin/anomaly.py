@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 class UnknownUser(ValueError):
@@ -119,8 +118,7 @@ def inject_anomalies(
         InsufficientDonors: other users have fewer rows than needed.
     """
     X = dataset.matrix()
-    y = np.asarray(dataset.labels(), dtype=object)
-    subject_mask = y == subject
+    subject_mask = dataset.users == subject
     n_normal = int(subject_mask.sum())
     if n_normal == 0:
         raise UnknownUser(f"user {subject!r} has no rows")
@@ -170,25 +168,43 @@ def lof_scores(rows, k: int = 20) -> np.ndarray:
     n = len(X)
     if n <= k:
         raise TooFewRows(f"LOF with k={k} needs more than {k} rows, got {n}")
-    dist = cdist(X, X)
+    # Squares summed column by column, in order, as scipy's cdist does, so
+    # the distances are the same to the last bit.
+    sq = np.zeros((n, n))
+    for col in X.T:
+        d = col[:, None] - col[None, :]
+        sq += d * d
+    dist = np.sqrt(sq)
     np.fill_diagonal(dist, np.inf)  # exclude self from neighbor ranks
-    k_dist = np.sort(dist, axis=1)[:, k - 1]
+    k_dist = np.partition(dist, k - 1, axis=1)[:, k - 1]
 
-    neighborhoods = [np.flatnonzero(dist[i] <= k_dist[i]) for i in range(n)]
-    lrd = np.empty(n)
-    for i, nb in enumerate(neighborhoods):
-        reach = np.maximum(k_dist[nb], dist[i, nb])
-        mean_reach = reach.mean()
-        lrd[i] = np.inf if mean_reach == 0.0 else 1.0 / mean_reach
+    neighbors = dist <= k_dist[:, None]
+    reach = np.maximum(k_dist[None, :], dist)
+    mean_reach = _neighbor_means(reach, neighbors)
+    with np.errstate(divide="ignore"):
+        lrd = np.where(mean_reach == 0.0, np.inf, 1.0 / mean_reach)
 
-    lof = np.empty(n)
-    for i, nb in enumerate(neighborhoods):
-        with np.errstate(invalid="ignore"):
-            ratios = lrd[nb] / lrd[i]
-        both_inf = np.isinf(lrd[nb]) & np.isinf(lrd[i])
-        ratios[both_inf] = 1.0
-        lof[i] = ratios.mean()
-    return lof
+    with np.errstate(invalid="ignore"):
+        ratios = lrd[None, :] / lrd[:, None]
+    inf_lrd = np.isinf(lrd)
+    ratios[inf_lrd[:, None] & inf_lrd[None, :]] = 1.0
+    return _neighbor_means(ratios, neighbors)
+
+
+def _neighbor_means(values: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Mean of values[i, neighbors[i]] for each row i.
+
+    Rows with the same neighborhood size are summed together as one
+    (rows, size) block along axis 1, which adds each row exactly as
+    ndarray.mean adds a 1-D slice (pairwise, in column order).
+    """
+    sizes = neighbors.sum(axis=1)
+    means = np.empty(len(values))
+    for size in np.unique(sizes):
+        idx = np.flatnonzero(sizes == size)
+        block = values[idx][neighbors[idx]].reshape(len(idx), size)
+        means[idx] = block.sum(axis=1) / size
+    return means
 
 
 def pr_auc(ground_truth, scores) -> float:
@@ -232,10 +248,23 @@ def run_anomaly_experiment(
     from the master seed, so single trials can be replayed. The summary
     reports mean/std/min/median/max over all trials for both scorers,
     plus per-user mean PR-AUCs.
+
+    Raises:
+        UnknownUser: the dataset has no rows.
+        TooFewRows: some user's trial would have no more than k rows;
+            checked for every user before the first trial runs.
     """
-    users = sorted(dataset.user_counts())
+    counts = dataset.user_counts()
+    users = sorted(counts)
     if not users:
         raise UnknownUser("dataset has no rows")
+    for user in users:
+        n_rows = counts[user] + anomaly_count(counts[user], rate)
+        if n_rows <= k:
+            raise TooFewRows(
+                f"user {user!r}: LOF with k={k} needs more than {k} rows, "
+                f"a trial has {n_rows}"
+            )
     trial_seeds = np.random.SeedSequence(seed).generate_state(
         len(users) * trials_per_user, dtype=np.uint64
     )

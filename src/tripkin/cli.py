@@ -136,7 +136,6 @@ def cmd_extract(cfg: RunConfig) -> int:
     print(f"labeled users loaded:        {n_users_loaded}")
     print(f"trips assembled:             {len(trips)} (labels with <2 points: {prov.labels_skipped})")
     print(f"dropped, too few points:     {prov.too_few_points}")
-    print(f"dropped, duplicate stamps:   {prov.duplicate_timestamps}")
     print(f"dropped, IQR outlier:        {prov.iqr_dropped}")
     print(f"dropped, user below minimum: {prov.below_min_trips_rows} rows / {prov.users_dropped} users")
     print(f"final: {len(dataset.rows)} trips over {len(users)} users -> {out_dir / 'features.csv'}")

@@ -12,17 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .geokinematics import (
-    DuplicateTimestamp,
-    TooFewPoints,
-    acceleration_sequence,
-    speed_sequence,
-)
+from .geokinematics import TooFewPoints, acceleration_sequence, speed_sequence
 from .ingest import Trip
 
 FEATURE_NAMES = (
@@ -96,7 +92,6 @@ class Provenance:
 
     labels_skipped: int = 0
     too_few_points: int = 0
-    duplicate_timestamps: int = 0
     iqr_dropped: int = 0
     iqr_dropped_per_feature: dict[str, int] = field(default_factory=dict)
     below_min_trips_rows: int = 0
@@ -105,26 +100,41 @@ class Provenance:
     per_user_after: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class FeatureDataset:
-    """Final filtered feature rows plus the drop counts that produced them."""
+_feature_values = operator.attrgetter(*FEATURE_NAMES)
 
-    rows: list[FeatureRow]
-    provenance: Provenance = field(default_factory=Provenance)
+
+def _stack(rows) -> np.ndarray:
+    """(len(rows), 10) feature matrix in FEATURE_NAMES column order."""
+    values = [_feature_values(row.features) for row in rows]
+    return np.array(values, dtype=float).reshape(len(values), len(FEATURE_NAMES))
+
+
+class FeatureDataset:
+    """Final filtered feature rows plus the drop counts that produced them.
+
+    The feature matrix and the user-id array are built once, here; rows
+    is stored as a tuple so neither can go stale.
+    """
+
+    def __init__(self, rows, provenance: Provenance | None = None) -> None:
+        self.rows: tuple[FeatureRow, ...] = tuple(rows)
+        self.provenance = provenance if provenance is not None else Provenance()
+        self._matrix = _stack(self.rows)
+        self._matrix.flags.writeable = False
+        self.users = np.array([row.user_id for row in self.rows], dtype=object)
+        self.users.flags.writeable = False
 
     def matrix(self) -> np.ndarray:
-        """(n_rows, 10) feature matrix in FEATURE_NAMES column order."""
-        if not self.rows:
-            return np.empty((0, len(FEATURE_NAMES)))
-        return np.vstack([row.features.as_vector() for row in self.rows])
+        """Read-only (n_rows, 10) feature matrix in FEATURE_NAMES column order."""
+        return self._matrix
 
     def labels(self) -> list[str]:
-        return [row.user_id for row in self.rows]
+        return list(self.users)
 
     def user_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for row in self.rows:
-            counts[row.user_id] = counts.get(row.user_id, 0) + 1
+        for uid in self.users:
+            counts[uid] = counts.get(uid, 0) + 1
         return counts
 
 
@@ -197,7 +207,7 @@ def compute_iqr_bounds(rows: list[FeatureRow], multiplier: float = 1.5) -> IqrBo
     """
     if not rows:
         raise EmptyInput("cannot compute bounds over zero rows")
-    mat = np.vstack([row.features.as_vector() for row in rows])
+    mat = _stack(rows)
     q1 = np.array([quantile(mat[:, j], 0.25) for j in range(mat.shape[1])])
     q3 = np.array([quantile(mat[:, j], 0.75) for j in range(mat.shape[1])])
     iqr = q3 - q1
@@ -212,16 +222,10 @@ def filter_outlier_trips(
     Returns the retained rows (order preserved) and per-feature drop
     counts; a row outside several fences increments each of them.
     """
-    kept: list[FeatureRow] = []
-    drops = {name: 0 for name in FEATURE_NAMES}
-    for row in rows:
-        vec = row.features.as_vector()
-        outside = (vec < bounds.lower) | (vec > bounds.upper)
-        if outside.any():
-            for j in np.flatnonzero(outside):
-                drops[FEATURE_NAMES[j]] += 1
-        else:
-            kept.append(row)
+    mat = _stack(rows)
+    outside = (mat < bounds.lower) | (mat > bounds.upper)
+    drops = dict(zip(FEATURE_NAMES, (int(n) for n in outside.sum(axis=0))))
+    kept = [row for row, out in zip(rows, outside.any(axis=1)) if not out]
     return kept, drops
 
 
@@ -249,20 +253,16 @@ def build_feature_dataset(
 ) -> FeatureDataset:
     """Full reduction: extract features, drop IQR outliers, enforce min trips.
 
-    Trips that are too short or carry duplicate timestamps are dropped and
-    counted, mirroring the removal of corrupted recordings.
+    Trips that are too short are dropped and counted, mirroring the removal
+    of corrupted recordings.
     """
     rows: list[FeatureRow] = []
     n_short = 0
-    n_dup = 0
     for trip in trips:
         try:
             feats = extract_features(trip)
         except TooFewPoints:
             n_short += 1
-            continue
-        except DuplicateTimestamp:
-            n_dup += 1
             continue
         rows.append(FeatureRow(trip.user_id, trip.modality, feats))
 
@@ -276,7 +276,6 @@ def build_feature_dataset(
     prov = dataset.provenance
     prov.labels_skipped = labels_skipped
     prov.too_few_points = n_short
-    prov.duplicate_timestamps = n_dup
     prov.iqr_dropped = len(rows) - len(kept)
     prov.iqr_dropped_per_feature = per_feature
     return dataset

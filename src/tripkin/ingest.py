@@ -105,19 +105,37 @@ class UserArchive:
                 raise ValueError("labels must be sorted by start_time")
 
 
+def _ascii_digits(s: str) -> bool:
+    # int() alone would also take "_" separators, signs, spaces and
+    # non-ASCII digits such as full-width ones.
+    return s.isascii() and s.isdigit()
+
+
 @lru_cache(maxsize=8192)
 def _days_since_epoch(date_s: str, sep: str) -> int:
     # Trajectory files repeat a handful of dates millions of times.
-    if len(date_s) != 10 or date_s[4] != sep or date_s[7] != sep:
+    year, month, day = date_s[0:4], date_s[5:7], date_s[8:10]
+    if (
+        len(date_s) != 10
+        or date_s[4] != sep
+        or date_s[7] != sep
+        or not _ascii_digits(year + month + day)
+    ):
         raise ValueError(f"bad date {date_s!r}")
-    return date(int(date_s[0:4]), int(date_s[5:7]), int(date_s[8:10])).toordinal() - _EPOCH_ORDINAL
+    return date(int(year), int(month), int(day)).toordinal() - _EPOCH_ORDINAL
 
 
 def _epoch_seconds(date_s: str, time_s: str, sep: str) -> int:
     """Epoch seconds for a 'YYYY?MM?DD' + 'HH:MM:SS' pair, interpreted as UTC."""
-    if len(time_s) != 8 or time_s[2] != ":" or time_s[5] != ":":
+    hh, mm, ss = time_s[0:2], time_s[3:5], time_s[6:8]
+    if (
+        len(time_s) != 8
+        or time_s[2] != ":"
+        or time_s[5] != ":"
+        or not _ascii_digits(hh + mm + ss)
+    ):
         raise ValueError(f"bad time {time_s!r}")
-    hh, mm, ss = int(time_s[0:2]), int(time_s[3:5]), int(time_s[6:8])
+    hh, mm, ss = int(hh), int(mm), int(ss)
     if not (0 <= hh < 24 and 0 <= mm < 60 and 0 <= ss < 60):
         raise ValueError(f"bad time {time_s!r}")
     return _days_since_epoch(date_s, sep) * 86400 + hh * 3600 + mm * 60 + ss

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class ClassTooSmall(ValueError):
@@ -277,11 +276,22 @@ def macro_f1(y_true, y_pred, classes=None) -> float:
     return float(np.mean(f1s))
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group given the mean of the ranks it spans."""
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    starts = np.flatnonzero(np.r_[True, sorted_values[1:] != sorted_values[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     """ROC-AUC as the Mann-Whitney U statistic, ties counted one half."""
     n_pos = int(positive.sum())
     n_neg = len(scores) - n_pos
-    ranks = rankdata(scores)  # average ranks give the 0.5 tie credit
+    ranks = _average_ranks(scores)  # average ranks give the 0.5 tie credit
     u = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -438,11 +448,11 @@ def run_classification(
     row_sums = confusion.sum(axis=1)
     col_sums = confusion.sum(axis=0)
     precision = {
-        c: (confusion[i, i] / col_sums[i] if col_sums[i] else 0.0)
+        c: (float(confusion[i, i] / col_sums[i]) if col_sums[i] else 0.0)
         for i, c in enumerate(order)
     }
     recall = {
-        c: (confusion[i, i] / row_sums[i] if row_sums[i] else 0.0)
+        c: (float(confusion[i, i] / row_sums[i]) if row_sums[i] else 0.0)
         for i, c in enumerate(order)
     }
     return ClassificationReport(

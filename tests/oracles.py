@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import statistics
 
+import numpy as np
+
 from tripkin.geokinematics import EARTH_RADIUS_M, GpsPoint, haversine_distance
 
 
@@ -149,4 +151,40 @@ def lof_bruteforce(rows, k: int) -> list[float]:
             else:
                 ratios.append(lrd[j] / lrd[i])
         lof.append(sum(ratios) / len(ratios))
+    return lof
+
+
+def lof_scores_loop(rows, k: int) -> np.ndarray:
+    """The former per-row loop form of anomaly.lof_scores, kept as its reference.
+
+    Each distance adds the squared coordinate differences in column order
+    and takes one square root, and each mean is ndarray.mean over one
+    neighborhood, so the vectorized form must match it bit for bit.
+    """
+    X = np.asarray(rows, dtype=float)
+    n = len(X)
+    dist = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            sq = 0.0
+            for a, b in zip(X[i].tolist(), X[j].tolist()):
+                sq += (a - b) * (a - b)
+            dist[i, j] = math.sqrt(sq)
+    np.fill_diagonal(dist, np.inf)
+    k_dist = np.sort(dist, axis=1)[:, k - 1]
+
+    neighborhoods = [np.flatnonzero(dist[i] <= k_dist[i]) for i in range(n)]
+    lrd = np.empty(n)
+    for i, nb in enumerate(neighborhoods):
+        reach = np.maximum(k_dist[nb], dist[i, nb])
+        mean_reach = reach.mean()
+        lrd[i] = np.inf if mean_reach == 0.0 else 1.0 / mean_reach
+
+    lof = np.empty(n)
+    for i, nb in enumerate(neighborhoods):
+        with np.errstate(invalid="ignore"):
+            ratios = lrd[nb] / lrd[i]
+        both_inf = np.isinf(lrd[nb]) & np.isinf(lrd[i])
+        ratios[both_inf] = 1.0
+        lof[i] = ratios.mean()
     return lof

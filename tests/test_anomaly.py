@@ -15,7 +15,7 @@ from tripkin.anomaly import (
 )
 from tripkin.features import FEATURE_NAMES, FeatureRow, KinematicFeatures, filter_users
 
-from oracles import average_precision_sweep, lof_bruteforce
+from oracles import average_precision_sweep, lof_bruteforce, lof_scores_loop
 
 
 def blob_dataset(centers, n_per_user=40, spread=0.2, seed=0):
@@ -145,6 +145,18 @@ class TestLofScores:
         with pytest.raises(TooFewRows):
             lof_scores(np.zeros((20, 2)), k=20)
 
+    @pytest.mark.parametrize("k", (1, 5, 20))
+    def test_bit_identical_to_loop_reference(self, k):
+        rng = np.random.default_rng(100 + k)
+        for trial in range(12):
+            n = int(rng.integers(k + 2, 90))
+            X = rng.normal(size=(n, 10)) * rng.uniform(0.1, 5.0, size=10)
+            if trial % 3 == 1:  # rounding makes many exact distance ties
+                X = np.round(X, 1)
+            elif trial % 3 == 2:  # duplicated rows give zero distances
+                X[rng.integers(0, n, n // 3)] = X[rng.integers(0, n, n // 3)]
+            assert np.array_equal(lof_scores(X, k=k), lof_scores_loop(X, k=k))
+
 
 class TestPrAuc:
     def test_perfect_ranking(self):
@@ -228,6 +240,24 @@ class TestExperiment:
         for user in ("000", "001"):
             mine = [r.pr_auc_lof for r in results if r.user_id == user]
             assert summary.per_user_mean_lof[user] == pytest.approx(np.mean(mine))
+
+    def test_too_large_k_fails_before_any_trial(self, monkeypatch):
+        # User "000" alone could run k=50 trials; "001" cannot (40 + 1 rows).
+        rng = np.random.default_rng(19)
+        rows = []
+        for uid, n in (("000", 80), ("001", 40)):
+            for _ in range(n):
+                values = dict(zip(FEATURE_NAMES, rng.normal(5.0, 1.0, size=len(FEATURE_NAMES))))
+                values["duration_s"] = abs(values["duration_s"]) + 1.0
+                rows.append(FeatureRow(uid, "walk", KinematicFeatures(**values)))
+        dataset = filter_users(rows, min_trips=1)
+        calls = []
+        monkeypatch.setattr(
+            "tripkin.anomaly.lof_scores", lambda *a, **kw: calls.append(1)
+        )
+        with pytest.raises(TooFewRows, match="'001'"):
+            run_anomaly_experiment(dataset, trials_per_user=2, k=50, seed=0)
+        assert calls == []
 
     def test_trial_seed_replays(self):
         dataset = blob_dataset((2.0, 20.0), n_per_user=40, seed=17)

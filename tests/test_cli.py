@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +99,12 @@ class TestClassifyCommand:
         matrix_rows = (out / "confusion_matrix.csv").read_text().splitlines()
         assert matrix_rows[0] == "true_user,predicted_user,count"
         assert len(matrix_rows) == 1 + 3 * 3
+        per_class = (out / "per_class_metrics.csv").read_text().splitlines()
+        assert per_class[0] == "user_id,trips,precision,recall"
+        for line in per_class[1:]:
+            user, _, precision, recall = line.split(",")
+            assert float(precision) == report["per_class_precision"][user]
+            assert float(recall) == report["per_class_recall"][user]
 
     def test_deterministic_outputs(self, features_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -133,6 +142,20 @@ class TestAnomalyCommand:
     def test_invalid_rate_exits_1(self, features_csv, tmp_path):
         rc = main(["anomaly", "--features", str(features_csv), "--out", str(tmp_path), "--rate", "1.5"])
         assert rc == 1
+
+    def test_lof_k_above_every_trial_size_exits_1_writing_nothing(self, features_csv, tmp_path, capsys):
+        out = tmp_path / "anom"
+        rc = main(["anomaly", "--features", str(features_csv), "--out", str(out), "--lof-k", "200"])
+        assert rc == 1
+        assert "k=200" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, tripkin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestConfigFile:

@@ -49,6 +49,19 @@ class TestParsePlt:
         with pytest.raises(MalformedLine):
             parse_plt(plt_file("thirty,116.3,0,492,39744.1,2008-10-23,02:53:04"))
 
+    @pytest.mark.parametrize(
+        "date_s, time_s",
+        (
+            ("2_08-01-01", "02:53:04"),  # int() reads "2_08" as 208
+            ("\uff12008-01-01", "02:53:04"),  # full-width digit two
+            ("2008-01-01", "02:5\uff13:04"),
+            ("2008-01-01", "+2:53:04"),
+        ),
+    )
+    def test_non_ascii_digit_fields_reject_file(self, date_s, time_s):
+        with pytest.raises(MalformedLine):
+            parse_plt(plt_file(f"39.9,116.3,0,492,39744.1,{date_s},{time_s}"))
+
     def test_out_of_range_coordinates_dropped(self):
         pts = parse_plt(
             plt_file(

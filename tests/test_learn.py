@@ -3,6 +3,7 @@ import pytest
 
 from tripkin.features import FeatureRow, KinematicFeatures, FEATURE_NAMES, filter_users
 from tripkin.learn import (
+    _binary_auc,
     ClassTooSmall,
     DecisionTree,
     EmptyTrainingSet,
@@ -23,7 +24,7 @@ from tripkin.learn import (
     weighted_random_baseline,
 )
 
-from oracles import macro_f1_confusion, roc_auc_ovr_macro_pairwise
+from oracles import binary_auc_pairwise, macro_f1_confusion, roc_auc_ovr_macro_pairwise
 
 
 def random_fixture(rng, n=40, n_classes=3, n_features=10):
@@ -252,6 +253,17 @@ class TestMetrics:
             want = roc_auc_ovr_macro_pairwise(truth, probs.tolist(), classes)
             assert got == pytest.approx(want, abs=1e-12)
 
+    def test_binary_auc_with_heavy_ties_matches_pairwise_oracle(self):
+        # Three distinct scores over hundreds of rows: almost every pair is
+        # a tie, so the average-rank tie credit decides the value.
+        rng = np.random.default_rng(18)
+        for n in (2, 7, 50, 400):
+            scores = rng.integers(0, 3, size=n) / 3.0
+            positive = rng.uniform(size=n) < 0.3
+            positive[:2] = (True, False)
+            want = binary_auc_pairwise(scores.tolist(), positive.tolist())
+            assert _binary_auc(scores, positive) == want
+
     def test_roc_auc_undefined(self):
         with pytest.raises(UndefinedMetric):
             roc_auc_ovr_macro(["a", "a"], np.array([[1.0], [1.0]]), ("a",))
@@ -301,7 +313,7 @@ class TestRunClassification:
     def test_class_order_by_descending_count(self):
         rows = separable_dataset(n_per_user=31, seed=4).rows
         extra = [FeatureRow("000", "walk", rows[0].features)] * 9
-        dataset = filter_users(rows + extra, min_trips=1)
+        dataset = filter_users(list(rows) + extra, min_trips=1)
         report = run_classification(dataset, k=5, seed=5)
         counts = [report.class_trip_counts[c] for c in report.class_order]
         assert counts == sorted(counts, reverse=True)
