@@ -116,8 +116,10 @@ def cmd_extract(cfg: RunConfig) -> int:
     trips: list[ingest.Trip] = []
     labels_skipped = 0
     n_users_loaded = 0
+    n_quarantined = 0
     for archive in ingest.iter_user_archives(cfg.root):
         n_users_loaded += 1
+        n_quarantined += len(archive.quarantined)
         user_trips, skipped = ingest.assemble_trips(archive)
         trips.extend(user_trips)
         labels_skipped += skipped
@@ -134,6 +136,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     prov = dataset.provenance
     users = dataset.user_counts()
     print(f"labeled users loaded:        {n_users_loaded}")
+    print(f"quarantined files:           {n_quarantined}")
     print(f"trips assembled:             {len(trips)} (labels with <2 points: {prov.labels_skipped})")
     print(f"dropped, too few points:     {prov.too_few_points}")
     print(f"dropped, IQR outlier:        {prov.iqr_dropped}")

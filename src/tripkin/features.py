@@ -36,6 +36,8 @@ FEATURE_NAMES = (
 
 CSV_COLUMNS = ("user_id", "modality") + FEATURE_NAMES
 
+_feature_values = operator.attrgetter(*FEATURE_NAMES)
+
 
 class EmptyInput(ValueError):
     """An operation received an empty collection."""
@@ -57,9 +59,8 @@ class KinematicFeatures:
     std_abs_accel: float
 
     def __post_init__(self) -> None:
-        vec = self.as_vector()
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"features must be finite, got {vec}")
+        if not all(map(math.isfinite, _feature_values(self))):
+            raise ValueError(f"features must be finite, got {self.as_vector()}")
         if self.duration_s <= 0:
             raise ValueError(f"duration must be positive, got {self.duration_s!r}")
 
@@ -98,9 +99,6 @@ class Provenance:
     users_dropped: int = 0
     per_user_before: dict[str, int] = field(default_factory=dict)
     per_user_after: dict[str, int] = field(default_factory=dict)
-
-
-_feature_values = operator.attrgetter(*FEATURE_NAMES)
 
 
 def _stack(rows) -> np.ndarray:

@@ -93,11 +93,16 @@ class Trip:
 
 @dataclass(frozen=True)
 class UserArchive:
-    """Everything loaded for one user: raw trajectories plus sorted labels."""
+    """Everything loaded for one user: raw trajectories plus sorted labels.
+
+    quarantined holds one "path: line N: reason" entry per trajectory
+    file that failed to parse and was left out of trajectories.
+    """
 
     user_id: str
     trajectories: list[list[GpsPoint]]
     labels: list[TripLabel]
+    quarantined: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         for prev, cur in zip(self.labels, self.labels[1:]):
@@ -300,10 +305,14 @@ def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
     """Yield one UserArchive per labeled user under a Geolife-layout root.
 
     Users without a labels.txt, or whose label file holds no valid row,
-    are skipped (and logged). Parse errors carry the offending file path.
+    are skipped (and logged). A .plt file that is malformed or empty is
+    quarantined: it is logged at WARNING as "path: line N: reason",
+    recorded in the archive's ``quarantined`` and left out, while the
+    user's other trajectories load as usual.
 
     Raises:
         MissingRoot: ``root/Data`` is not a directory.
+        MalformedLine: a labels.txt is malformed; the error names its path.
     """
     data_dir = Path(root) / "Data"
     if not data_dir.is_dir():
@@ -331,16 +340,16 @@ def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
         labels.sort(key=lambda lab: lab.start_time)
 
         trajectories: list[list[GpsPoint]] = []
+        quarantined: list[str] = []
         traj_dir = user_dir / "Trajectory"
         if traj_dir.is_dir():
             for plt_path in sorted(traj_dir.glob("*.plt")):
                 try:
                     trajectories.append(parse_plt(plt_path.read_bytes()))
-                except MalformedLine as exc:
-                    raise MalformedLine(exc.line_no, exc.reason, source=str(plt_path)) from None
-                except EmptyFile as exc:
-                    raise EmptyFile(f"{plt_path}: {exc}") from None
-        yield UserArchive(user_dir.name, trajectories, labels)
+                except (MalformedLine, EmptyFile) as exc:
+                    quarantined.append(f"{plt_path}: {exc}")
+                    log.warning("quarantined %s", quarantined[-1])
+        yield UserArchive(user_dir.name, trajectories, labels, tuple(quarantined))
     if n_unlabeled:
         log.info("skipped %d user(s) without usable labels", n_unlabeled)
 

@@ -8,6 +8,23 @@ x[feature] <= threshold route left. Class probabilities come from leaf
 class counts, and the canonical class order everywhere is descending
 training count, then lexicographic id; argmax ties resolve to the
 earlier class in that order.
+
+Each node scores all of its features in one vectorized pass: one stable
+argsort of the node's rows per column, an int32 (features, rows, classes)
+array of running class counts, and the weighted Gini of every candidate
+cut, with cuts between equal values set to inf before one feature-major
+argmin. Features go through in blocks of at most _BLOCK count elements,
+so a large node is scored one feature at a time and its memory stays
+bounded, while the many small nodes are scored all at once. Every node
+keeps the full class axis, absent classes included, and Gini is computed
+as 1 - sum((count / n) ** 2) over it: the sum adds one term per training
+class in the same order at every node, so splits, thresholds and reports
+stay bit for bit those of the former one-feature-at-a-time scorer.
+Dropping absent classes or rewriting Gini as sum(count ** 2) / n ** 2
+regroups that float sum and can move a near-tie between two cuts.
+
+Accuracy and macro-F1 take their counts from one integer confusion table
+built with np.bincount over class codes.
 """
 
 from __future__ import annotations
@@ -27,6 +44,13 @@ class EmptyTrainingSet(ValueError):
 
 class UndefinedMetric(ValueError):
     """The metric has no defined value on this input."""
+
+
+# Elements of the (features, rows, classes) count array one _best_split
+# block may hold. It bounds the scorer's memory: a node with more than
+# _BLOCK rows x classes (e.g. 1,470 x 26) is scored one feature at a time,
+# while the many small nodes below it score every feature in one pass.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -95,39 +119,51 @@ def _leaf(y: np.ndarray, classes: tuple[str, ...]) -> Leaf:
     return Leaf(class_counts=counts)
 
 
+def _gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """1 - sum over the class axis of (count / size) ** 2, per candidate cut."""
+    share = counts / size[:, None]
+    share **= 2
+    return 1.0 - share.sum(axis=-1)
+
+
 def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int):
     """Lowest-weighted-Gini (feature, threshold), or None if X has no spread.
 
-    Scans features in index order and thresholds in ascending order,
-    keeping only strict improvements, which realizes the tie-break rule.
+    Candidate cuts of a block of features are scored together and flattened
+    feature-major, so the first minimum is at the lowest feature, then the
+    lowest threshold; a later block replaces the best only by a strict
+    improvement, which keeps that tie-break across blocks.
     """
-    n = len(y)
-    onehot = np.zeros((n, n_classes))
+    n, n_features = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    sx = np.take_along_axis(X, order, axis=0)
+    valid = (sx[1:] > sx[:-1]).T  # (features, n - 1): cut after sorted row i
+    left_n = np.arange(1, n, dtype=float)
+    right_n = n - left_n
+    block = max(1, _BLOCK // (n * n_classes))
     best = None
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sc = col[order]
-        cut = np.flatnonzero(sc[1:] > sc[:-1])  # left block = rows [0..cut]
-        if cut.size == 0:
+    for f0 in range(0, n_features, block):
+        f1 = min(f0 + block, n_features)
+        if not valid[f0:f1].any():
             continue
-        onehot[:] = 0.0
-        onehot[np.arange(n), y[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left_n = (cut + 1).astype(float)
-        right_n = n - left_n
-        left_counts = cum[cut]
-        right_counts = cum[-1] - left_counts
-        gini_left = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=1)
+        # One-hot class of each sorted row, then running counts down the rows.
+        counts = np.zeros((f1 - f0, n, n_classes), dtype=np.int32)
+        hot = np.arange((f1 - f0) * n).reshape(f1 - f0, n) * n_classes + y[order[:, f0:f1]].T
+        counts.reshape(-1)[hot.ravel()] = 1
+        np.cumsum(counts, axis=1, out=counts)
+        left_counts = counts[:, :-1]
+        gini_left = _gini(left_counts, left_n)
+        gini_right = _gini(counts[:, -1:] - left_counts, right_n)
         weighted = (left_n * gini_left + right_n * gini_right) / n
-        i = int(np.argmin(weighted))  # first minimum -> lowest threshold
-        if best is None or weighted[i] < best[0]:
-            lo, hi = sc[cut[i]], sc[cut[i] + 1]
+        weighted[~valid[f0:f1]] = np.inf
+        i = int(np.argmin(weighted))
+        f, c = divmod(i, n - 1)
+        if best is None or weighted[f, c] < best[0]:
+            lo, hi = sx[c, f0 + f], sx[c + 1, f0 + f]
             thr = (lo + hi) / 2.0
             if not lo <= thr < hi:  # midpoint rounded onto hi; fall back to lo
                 thr = lo
-            best = (float(weighted[i]), f, float(thr))
+            best = (float(weighted[f, c]), f0 + f, float(thr))
     return best
 
 
@@ -244,6 +280,20 @@ def uniform_random_baseline(
     return preds, probs, classes
 
 
+def _confusion_counts(y_true, y_pred, index: dict) -> np.ndarray:
+    """Integer true x predicted counts, one np.bincount over class codes.
+
+    Labels missing from index are appended to it in order of first
+    appearance, so index maps every label to its row and column.
+    """
+    if len(y_true) != len(y_pred):
+        raise ValueError("length mismatch")
+    t = np.array([index.setdefault(lab, len(index)) for lab in y_true], dtype=np.intp)
+    p = np.array([index.setdefault(lab, len(index)) for lab in y_pred], dtype=np.intp)
+    k = len(index)
+    return np.bincount(t * k + p, minlength=k * k).reshape(k, k)
+
+
 def accuracy(y_true, y_pred) -> float:
     """Fraction of exact label matches."""
     y_true, y_pred = list(y_true), list(y_pred)
@@ -251,7 +301,7 @@ def accuracy(y_true, y_pred) -> float:
         raise ValueError("length mismatch")
     if not y_true:
         raise UndefinedMetric("accuracy of zero rows")
-    return sum(t == p for t, p in zip(y_true, y_pred)) / len(y_true)
+    return int(np.trace(_confusion_counts(y_true, y_pred, {}))) / len(y_true)
 
 
 def macro_f1(y_true, y_pred, classes=None) -> float:
@@ -260,6 +310,10 @@ def macro_f1(y_true, y_pred, classes=None) -> float:
     Per class, F1 = 2PR/(P+R); any zero denominator along the way scores 0.
     """
     y_true, y_pred = list(y_true), list(y_pred)
+    index: dict = {}
+    counts = _confusion_counts(y_true, y_pred, index)
+    true_n = counts.sum(axis=1)
+    pred_n = counts.sum(axis=0)
     true_set = set(y_true)
     candidates = classes if classes is not None else sorted(true_set)
     present = [c for c in candidates if c in true_set]
@@ -267,11 +321,10 @@ def macro_f1(y_true, y_pred, classes=None) -> float:
         raise UndefinedMetric("no classes present in true labels")
     f1s = []
     for c in present:
-        tp = sum(t == c and p == c for t, p in zip(y_true, y_pred))
-        fp = sum(t != c and p == c for t, p in zip(y_true, y_pred))
-        fn = sum(t == c and p != c for t, p in zip(y_true, y_pred))
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
+        i = index[c]
+        tp, pred_c, true_c = int(counts[i, i]), int(pred_n[i]), int(true_n[i])
+        precision = tp / pred_c if pred_c else 0.0
+        recall = tp / true_c if true_c else 0.0
         f1s.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
     return float(np.mean(f1s))
 
@@ -306,11 +359,11 @@ def roc_auc_ovr_macro(y_true, prob_matrix, classes) -> float:
     Raises:
         UndefinedMetric: no class has both positives and negatives.
     """
-    y_true = list(y_true)
+    truth = np.array(list(y_true), dtype=object)
     prob_matrix = np.asarray(prob_matrix, dtype=float)
     aucs = []
     for j, c in enumerate(classes):
-        positive = np.array([t == c for t in y_true])
+        positive = truth == c
         if positive.all() or not positive.any():
             continue
         aucs.append(_binary_auc(prob_matrix[:, j], positive))
@@ -320,12 +373,16 @@ def roc_auc_ovr_macro(y_true, prob_matrix, classes) -> float:
 
 
 def confusion_matrix(y_true, y_pred, classes) -> np.ndarray:
-    """Dense true x predicted counts in the given class order."""
+    """Dense true x predicted counts in the given class order.
+
+    Raises:
+        KeyError: a label is not one of classes.
+    """
     index = {c: i for i, c in enumerate(classes)}
-    mat = np.zeros((len(classes), len(classes)), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        mat[index[t], index[p]] += 1
-    return mat
+    counts = _confusion_counts(y_true, y_pred, index)
+    if len(index) > len(classes):
+        raise KeyError(f"labels outside classes: {list(index)[len(classes):]!r}")
+    return counts
 
 
 @dataclass

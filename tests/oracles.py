@@ -13,6 +13,7 @@ import statistics
 import numpy as np
 
 from tripkin.geokinematics import EARTH_RADIUS_M, GpsPoint, haversine_distance
+from tripkin.learn import DecisionTree, EmptyTrainingSet, Leaf, Split, class_order
 
 
 def slc_distance(a: GpsPoint, b: GpsPoint) -> float:
@@ -188,3 +189,113 @@ def lof_scores_loop(rows, k: int) -> np.ndarray:
         ratios[both_inf] = 1.0
         lof[i] = ratios.mean()
     return lof
+
+
+def _leaf_per_feature(y, classes):
+    counts: dict[str, int] = {}
+    for code in y:
+        name = classes[code]
+        counts[name] = counts.get(name, 0) + 1
+    return Leaf(class_counts=counts)
+
+
+def _best_split_per_feature(X, y, n_classes):
+    """Lowest-weighted-Gini (feature, threshold), or None if X has no spread.
+
+    Scans features in index order and thresholds in ascending order,
+    keeping only strict improvements, which realizes the tie-break rule.
+    """
+    n = len(y)
+    onehot = np.zeros((n, n_classes))
+    best = None
+    for f in range(X.shape[1]):
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        sc = col[order]
+        cut = np.flatnonzero(sc[1:] > sc[:-1])  # left block = rows [0..cut]
+        if cut.size == 0:
+            continue
+        onehot[:] = 0.0
+        onehot[np.arange(n), y[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        left_n = (cut + 1).astype(float)
+        right_n = n - left_n
+        left_counts = cum[cut]
+        right_counts = cum[-1] - left_counts
+        gini_left = 1.0 - ((left_counts / left_n[:, None]) ** 2).sum(axis=1)
+        gini_right = 1.0 - ((right_counts / right_n[:, None]) ** 2).sum(axis=1)
+        weighted = (left_n * gini_left + right_n * gini_right) / n
+        i = int(np.argmin(weighted))  # first minimum -> lowest threshold
+        if best is None or weighted[i] < best[0]:
+            lo, hi = sc[cut[i]], sc[cut[i] + 1]
+            thr = (lo + hi) / 2.0
+            if not lo <= thr < hi:  # midpoint rounded onto hi; fall back to lo
+                thr = lo
+            best = (float(weighted[i]), f, float(thr))
+    return best
+
+
+def cart_tree_per_feature(X, labels, max_depth=None, min_samples_split=2):
+    """The former learn.train_tree, which scored one feature at a time.
+
+    Kept verbatim as the reference for the blocked all-feature scorer:
+    both use the same per-candidate float expressions over the full class
+    axis, so trees must match node for node, thresholds bit for bit.
+    """
+    X = np.asarray(X, dtype=float)
+    labels = list(labels)
+    if len(labels) == 0:
+        raise EmptyTrainingSet("no training rows")
+    classes = class_order(labels)
+    code_of = {c: i for i, c in enumerate(classes)}
+    y = np.array([code_of[lab] for lab in labels])
+
+    root = None
+    stack = [(X, y, 0, None, "left")]
+    while stack:
+        Xn, yn, depth, parent, side = stack.pop()
+        pure = bool((yn == yn[0]).all())
+        at_depth = max_depth is not None and depth >= max_depth
+        if pure or at_depth or len(yn) < min_samples_split:
+            node = _leaf_per_feature(yn, classes)
+        else:
+            best = _best_split_per_feature(Xn, yn, len(classes))
+            if best is None:
+                node = _leaf_per_feature(yn, classes)
+            else:
+                _, f, thr = best
+                node = Split(feature_index=f, threshold=thr)
+                mask = Xn[:, f] <= thr
+                stack.append((Xn[mask], yn[mask], depth + 1, node, "left"))
+                stack.append((Xn[~mask], yn[~mask], depth + 1, node, "right"))
+        if parent is None:
+            root = node
+        elif side == "left":
+            parent.left = node
+        else:
+            parent.right = node
+    assert root is not None
+    return DecisionTree(root=root, classes=classes)
+
+
+def accuracy_loop(y_true, y_pred) -> float:
+    """The former generator-loop learn.accuracy."""
+    y_true, y_pred = list(y_true), list(y_pred)
+    return sum(t == p for t, p in zip(y_true, y_pred)) / len(y_true)
+
+
+def macro_f1_loop(y_true, y_pred, classes=None) -> float:
+    """The former learn.macro_f1: three O(n) scans per class, same arithmetic."""
+    y_true, y_pred = list(y_true), list(y_pred)
+    true_set = set(y_true)
+    candidates = classes if classes is not None else sorted(true_set)
+    present = [c for c in candidates if c in true_set]
+    f1s = []
+    for c in present:
+        tp = sum(t == c and p == c for t, p in zip(y_true, y_pred))
+        fp = sum(t != c and p == c for t, p in zip(y_true, y_pred))
+        fn = sum(t == c and p != c for t, p in zip(y_true, y_pred))
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1s.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
+    return float(np.mean(f1s))

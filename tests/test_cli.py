@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -78,6 +79,25 @@ class TestExtractCommand:
         out2 = corpus_dir / "extracted-again"
         assert main(["extract", "--root", str(corpus_dir / "raw"), "--out", str(out2), "--seed", "1"]) == 0
         assert (out2 / "features.csv").read_bytes() == features_csv.read_bytes()
+
+    def test_one_bad_plt_is_quarantined_not_fatal(self, corpus_dir, features_csv, tmp_path, capsys):
+        root = tmp_path / "raw"
+        shutil.copytree(corpus_dir / "raw", root)
+        bad = sorted((root / "Data" / "001" / "Trajectory").glob("*.plt"))[5]
+        with open(bad, "a") as fh:
+            fh.write("garbage,line\n")
+        capsys.readouterr()
+        assert main(["extract", "--root", str(root), "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
+        assert "quarantined files:           1\n" in capsys.readouterr().out
+
+        def rows_by_user(path):
+            lines = path.read_text().splitlines()[1:]
+            return {u: [r for r in lines if r.startswith(u + ",")] for u in ("000", "001", "002")}
+
+        before = rows_by_user(features_csv)
+        after = rows_by_user(tmp_path / "out" / "features.csv")
+        assert after["000"] == before["000"] and after["002"] == before["002"]
+        assert len(after["001"]) == len(before["001"]) - 1
 
 
 class TestClassifyCommand:

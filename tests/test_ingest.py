@@ -227,13 +227,35 @@ class TestLoadDataset:
         with pytest.raises(MissingRoot):
             load_dataset(tmp_path / "nope")
 
-    def test_malformed_plt_carries_path(self, tmp_path):
+    def test_malformed_plt_carries_path(self, tmp_path, caplog):
+        # The bad file is quarantined with its path and line; the user's
+        # good trajectory still loads.
         self.write_user(tmp_path, "000")
         bad = tmp_path / "Data" / "000" / "Trajectory" / "bad.plt"
         bad.write_text(PLT_HEADER + "1,2,3\n")
+        with caplog.at_level("WARNING", logger="tripkin.ingest"):
+            (archive,) = list(iter_user_archives(tmp_path))
+        entry = f"{bad}: line 7: expected 7 fields, got 3"
+        assert archive.quarantined == (entry,)
+        assert len(archive.trajectories) == 1 and len(archive.trajectories[0]) == 10
+        assert [r.levelname for r in caplog.records if entry in r.getMessage()] == ["WARNING"]
+
+    def test_empty_plt_is_quarantined(self, tmp_path):
+        self.write_user(tmp_path, "000")
+        self.write_user(tmp_path, "001")
+        empty = tmp_path / "Data" / "001" / "Trajectory" / "empty.plt"
+        empty.write_text(PLT_HEADER)
+        first, second = load_dataset(tmp_path)
+        assert first.quarantined == ()
+        assert second.quarantined == (f"{empty}: no data lines after the 6-line header",)
+        assert len(second.trajectories) == 1
+
+    def test_malformed_labels_still_raise_with_path(self, tmp_path):
+        self.write_user(tmp_path, "000")
+        (tmp_path / "Data" / "000" / "labels.txt").write_text("header\nnot a label\n")
         with pytest.raises(MalformedLine) as err:
             list(iter_user_archives(tmp_path))
-        assert "bad.plt" in str(err.value)
+        assert "labels.txt: line 2" in str(err.value)
 
     def test_deterministic(self, tmp_path):
         for uid in ("000", "001", "002"):

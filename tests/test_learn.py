@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,14 @@ from tripkin.learn import (
     weighted_random_baseline,
 )
 
-from oracles import binary_auc_pairwise, macro_f1_confusion, roc_auc_ovr_macro_pairwise
+from oracles import (
+    accuracy_loop,
+    binary_auc_pairwise,
+    cart_tree_per_feature,
+    macro_f1_confusion,
+    macro_f1_loop,
+    roc_auc_ovr_macro_pairwise,
+)
 
 
 def random_fixture(rng, n=40, n_classes=3, n_features=10):
@@ -145,6 +154,78 @@ class TestTrainTree:
             assert base == transformed
 
 
+def same_node(a, b) -> bool:
+    """Equal structure, feature indices, threshold bits and leaf counts."""
+    if isinstance(a, Leaf):
+        return isinstance(b, Leaf) and list(a.class_counts.items()) == list(b.class_counts.items())
+    return (
+        isinstance(b, Split)
+        and a.feature_index == b.feature_index
+        and np.float64(a.threshold).tobytes() == np.float64(b.threshold).tobytes()
+        and same_node(a.left, b.left)
+        and same_node(a.right, b.right)
+    )
+
+
+def oracle_case(rng, case):
+    """Seeded random training set; the case number picks its kind."""
+    n = 2 if case % 25 == 0 else int(rng.integers(2, 201))
+    n_classes = 1 if case % 20 == 0 else int(rng.integers(2, 31))
+    n_features = int(rng.integers(1, 13))
+    kind = case % 4
+    if kind == 0:
+        X = rng.normal(size=(n, n_features))
+    elif kind == 1:  # rounded: many ties inside each column
+        X = np.round(rng.normal(size=(n, n_features)), 1)
+    elif kind == 2:  # integer-valued: few distinct cuts
+        X = rng.integers(0, 4, size=(n, n_features)).astype(float)
+    else:  # a constant column among normal ones
+        X = rng.normal(size=(n, n_features))
+        X[:, rng.integers(n_features)] = 3.0
+    y = [f"u{rng.integers(n_classes)}" for _ in range(n)]
+    max_depth = (None, 1, 2, 3)[case % 7 % 4]
+    min_samples_split = 2 if case % 3 else int(rng.integers(3, 12))
+    return X, y, max_depth, min_samples_split
+
+
+class TestTreeMatchesPerFeatureOracle:
+    def test_random_cases_identical(self):
+        rng = np.random.default_rng(2024)
+        for case in range(320):
+            X, y, max_depth, min_samples_split = oracle_case(rng, case)
+            got = train_tree(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
+            want = cart_tree_per_feature(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
+            assert got.classes == want.classes, case
+            assert same_node(got.root, want.root), case
+            probe = np.vstack([X, rng.normal(size=(5, X.shape[1]))])
+            got_labels, got_probs = predict_batch(got, probe)
+            want_labels, want_probs = predict_batch(want, probe)
+            assert got_labels == want_labels, case
+            assert np.array_equal(got_probs, want_probs), case
+
+    def test_blocked_and_single_feature_nodes_identical(self):
+        # 1,500 rows x 26 classes puts the root above the block size (one
+        # feature at a time) while small nodes below score all at once.
+        rng = np.random.default_rng(31)
+        X = np.round(rng.normal(size=(1500, 10)), 2)
+        y = [f"u{c:02d}" for c in rng.integers(26, size=1500)]
+        assert same_node(train_tree(X, y).root, cart_tree_per_feature(X, y).root)
+
+    def test_peak_memory_not_above_per_feature_oracle(self):
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(1500, 10))
+        y = [f"u{c:02d}" for c in rng.integers(26, size=1500)]
+        peaks = {}
+        for name, fit in (("blocked", train_tree), ("oracle", cart_tree_per_feature)):
+            tracemalloc.start()
+            try:
+                fit(X, y)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["blocked"] <= peaks["oracle"], peaks
+
+
 class TestPredict:
     def test_leaf_probabilities(self):
         tree = DecisionTree(root=Leaf({"A": 3, "B": 1}), classes=("A", "B"))
@@ -222,6 +303,33 @@ class TestMetrics:
 
     def test_perfect_macro_f1(self):
         assert macro_f1(["A", "B", "C"], ["A", "B", "C"]) == 1.0
+
+    def test_metrics_equal_loop_forms_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = int(rng.integers(1, 80))
+            n_classes = int(rng.integers(1, 8))
+            truth = [f"u{rng.integers(n_classes)}" for _ in range(n)]
+            pred = [f"u{rng.integers(n_classes + 1)}" for _ in range(n)]
+            classes = tuple(f"u{i}" for i in rng.permutation(n_classes + 2))
+            assert accuracy(truth, pred) == accuracy_loop(truth, pred)
+            assert macro_f1(truth, pred) == macro_f1_loop(truth, pred)
+            assert macro_f1(truth, pred, classes) == macro_f1_loop(truth, pred, classes)
+            assert macro_f1(truth, pred) == pytest.approx(
+                macro_f1_confusion(truth, pred), rel=1e-12, abs=1e-15
+            )
+
+    def test_metrics_reject_length_mismatch(self):
+        with pytest.raises(ValueError):
+            accuracy(["a", "b"], ["a"])
+        with pytest.raises(ValueError):
+            macro_f1(["a", "b"], ["a"])
+        with pytest.raises(ValueError):
+            confusion_matrix(["a"], ["a", "a"], ("a",))
+
+    def test_confusion_matrix_rejects_unknown_label(self):
+        with pytest.raises(KeyError):
+            confusion_matrix(["a", "b"], ["a", "z"], ("a", "b"))
 
     def test_roc_auc_perfect_separation(self):
         truth = ["a", "a", "b", "b"]
