@@ -115,14 +115,16 @@ def cmd_extract(cfg: RunConfig) -> int:
 
     trips: list[ingest.Trip] = []
     labels_skipped = 0
+    duplicates = 0
     n_users_loaded = 0
     n_quarantined = 0
     for archive in ingest.iter_user_archives(cfg.root):
-        n_users_loaded += 1
+        n_users_loaded += bool(archive.labels)
         n_quarantined += len(archive.quarantined)
-        user_trips, skipped = ingest.assemble_trips(archive)
+        user_trips, skipped, dropped = ingest.assemble_trips(archive)
         trips.extend(user_trips)
         labels_skipped += skipped
+        duplicates += dropped
         log.info("user %s: %d trips (%d labels skipped)", archive.user_id, len(user_trips), skipped)
 
     dataset = features_mod.build_feature_dataset(
@@ -130,6 +132,7 @@ def cmd_extract(cfg: RunConfig) -> int:
         min_trips=cfg.min_trips,
         iqr_multiplier=cfg.iqr_mult,
         labels_skipped=labels_skipped,
+        duplicate_timestamps=duplicates,
     )
     features_mod.write_features_csv(dataset, out_dir / "features.csv")
 
@@ -137,6 +140,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     users = dataset.user_counts()
     print(f"labeled users loaded:        {n_users_loaded}")
     print(f"quarantined files:           {n_quarantined}")
+    print(f"dropped, duplicate timestamps: {prov.duplicate_timestamps}")
     print(f"trips assembled:             {len(trips)} (labels with <2 points: {prov.labels_skipped})")
     print(f"dropped, too few points:     {prov.too_few_points}")
     print(f"dropped, IQR outlier:        {prov.iqr_dropped}")
@@ -322,9 +326,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(cfg)
-    except (ingest.MissingRoot, ingest.MalformedLine, ingest.EmptyFile) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except (FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -89,9 +89,11 @@ class IqrBounds:
 
 @dataclass
 class Provenance:
-    """Counts of trips dropped at each pipeline stage."""
+    """Counts of what each pipeline stage dropped: trips, except
+    duplicate_timestamps, which counts points that repeat a timestamp."""
 
     labels_skipped: int = 0
+    duplicate_timestamps: int = 0
     too_few_points: int = 0
     iqr_dropped: int = 0
     iqr_dropped_per_feature: dict[str, int] = field(default_factory=dict)
@@ -142,17 +144,17 @@ def extract_features(trip: Trip) -> KinematicFeatures:
     Needs at least 3 strictly increasing timestamps so the acceleration
     sequence is nonempty. Absolute-acceleration statistics are taken over
     |a|; min_neg_accel is the plain minimum acceleration sample, so it is
-    only negative when the trip actually decelerates somewhere.
+    only negative when the trip actually decelerates somewhere. The
+    duration is a Python int, as the timestamps are whole seconds.
 
     Raises:
         TooFewPoints, DuplicateTimestamp: propagated; callers drop the trip.
     """
-    if len(trip.points) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(trip.points)}")
-    speeds = speed_sequence(trip.points)
-    accels = acceleration_sequence(speeds)
-    v = np.array([s.speed for s in speeds])
-    a = np.array([s.acceleration for s in accels])
+    track = trip.points
+    if len(track) < 3:
+        raise TooFewPoints(f"need at least 3 points, got {len(track)}")
+    v = speed_sequence(track.t, track.lat, track.lon)
+    a = acceleration_sequence(track.t[1:], v)
     abs_a = np.abs(a)
     v_min = float(v.min())
     v_max = float(v.max())
@@ -160,7 +162,7 @@ def extract_features(trip: Trip) -> KinematicFeatures:
     # mean inside [min, max] so the ordering invariant is exact.
     v_mean = min(max(float(v.mean()), v_min), v_max)
     return KinematicFeatures(
-        duration_s=trip.points[-1].timestamp - trip.points[0].timestamp,
+        duration_s=int(track.t[-1] - track.t[0]),
         max_speed=v_max,
         min_speed=v_min,
         max_pos_accel=float(a.max()),
@@ -248,11 +250,13 @@ def build_feature_dataset(
     min_trips: int = 30,
     iqr_multiplier: float = 1.5,
     labels_skipped: int = 0,
+    duplicate_timestamps: int = 0,
 ) -> FeatureDataset:
     """Full reduction: extract features, drop IQR outliers, enforce min trips.
 
     Trips that are too short are dropped and counted, mirroring the removal
-    of corrupted recordings.
+    of corrupted recordings. labels_skipped and duplicate_timestamps are
+    the assembly counts, recorded in the provenance as given.
     """
     rows: list[FeatureRow] = []
     n_short = 0
@@ -273,6 +277,7 @@ def build_feature_dataset(
     dataset = filter_users(kept, min_trips=min_trips)
     prov = dataset.provenance
     prov.labels_skipped = labels_skipped
+    prov.duplicate_timestamps = duplicate_timestamps
     prov.too_few_points = n_short
     prov.iqr_dropped = len(rows) - len(kept)
     prov.iqr_dropped_per_feature = per_feature

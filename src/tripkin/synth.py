@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geokinematics import EARTH_RADIUS_M, GpsPoint
+from .geokinematics import EARTH_RADIUS_M, Track
 from .ingest import Trip, TripLabel, format_labels, format_plt
 
 # Synthetic corpora start on 2010-01-01T00:00:00Z.
@@ -57,8 +57,8 @@ class UserProfile:
             raise ValueError("trips must be at least 1")
         if self.points_per_trip < 3:
             raise ValueError("points_per_trip must be at least 3")
-        if self.sampling_period <= 0:
-            raise ValueError("sampling_period must be positive")
+        if self.sampling_period < 1:
+            raise ValueError("sampling_period must be at least 1 s (timestamps are whole seconds)")
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def generate_trip(
     speed_jitter); the per-interval speed walks from there with step std
     accel_scale * sampling_period, clipped at zero. Positions move along
     a single random bearing from a random mid-latitude origin, then get
-    isotropic coordinate noise of gps_noise_std meters.
+    isotropic coordinate noise of gps_noise_std meters. Fix i is stamped
+    int(start_time + i * sampling_period), whole seconds as in a PLT file.
     """
     rng = np.random.default_rng(seed)
     if start_time is None:
@@ -128,7 +129,7 @@ def generate_trip(
     else:
         noise = np.zeros((n, 2))
 
-    points = []
+    lats, lons = [], []
     for i in range(n):
         lat, lon = _destination(lat0, lon0, bearing, float(arc[i]))
         lat += math.degrees(noise[i, 0] / EARTH_RADIUS_M)
@@ -136,8 +137,11 @@ def generate_trip(
         lon += math.degrees(noise[i, 1] / (EARTH_RADIUS_M * cos_lat))
         lat = min(90.0, max(-90.0, lat))
         lon = (lon + 180.0) % 360.0 - 180.0
-        points.append(GpsPoint(start_time + i * dt, lat, lon))
-    return Trip(profile.user_id, modality_for_speed(profile.mean_cruise_speed), points)
+        lats.append(lat)
+        lons.append(lon)
+    times = (start_time + np.arange(n) * dt).astype(np.int64)
+    track = Track(times, lats, lons)
+    return Trip(profile.user_id, modality_for_speed(profile.mean_cruise_speed), track)
 
 
 def generate_corpus(profiles: list[UserProfile], seed: int = 0) -> SyntheticCorpus:
@@ -167,16 +171,16 @@ def generate_corpus(profiles: list[UserProfile], seed: int = 0) -> SyntheticCorp
 def write_corpus(corpus: SyntheticCorpus, root: str | Path) -> None:
     """Serialize a corpus in the Geolife directory layout.
 
-    One PLT file per trip (timestamps truncated to whole seconds) plus a
-    labels.txt per user whose intervals span each trip exactly.
+    One PLT file per trip plus a labels.txt per user whose intervals span
+    each trip exactly.
     """
     root = Path(root)
     labels: dict[str, list[TripLabel]] = {uid: [] for uid in corpus.profiles}
     for trip in corpus.trips:
         user_dir = root / "Data" / trip.user_id / "Trajectory"
         user_dir.mkdir(parents=True, exist_ok=True)
-        start = int(trip.points[0].timestamp)
-        end = int(trip.points[-1].timestamp)
+        start = int(trip.points.t[0])
+        end = int(trip.points.t[-1])
         (user_dir / f"{start}.plt").write_text(format_plt(trip.points))
         labels[trip.user_id].append(TripLabel(start, end, trip.modality))
     for uid, labs in labels.items():

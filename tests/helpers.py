@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from tripkin.geokinematics import EARTH_RADIUS_M, GpsPoint
+from tripkin.geokinematics import EARTH_RADIUS_M, Track
 from tripkin.ingest import Trip
 from tripkin.synth import UserProfile, generate_trip
 
@@ -14,7 +14,7 @@ METERS_PER_LON_DEGREE_AT_EQUATOR = EARTH_RADIUS_M * math.pi / 180.0
 
 
 def equator_trip(
-    interval_speeds, dt: float = 1.0, user_id: str = "000", modality: str = "walk"
+    interval_speeds, dt: int = 1, user_id: str = "000", modality: str = "walk"
 ) -> Trip:
     """A trip along the equator whose speed sequence equals interval_speeds.
 
@@ -22,12 +22,11 @@ def equator_trip(
     distance exactly R * delta_lon, so the target speeds are recovered to
     float precision.
     """
-    lon = 0.0
-    points = [GpsPoint(0.0, 0.0, lon)]
-    for i, v in enumerate(interval_speeds):
-        lon += v * dt / METERS_PER_LON_DEGREE_AT_EQUATOR
-        points.append(GpsPoint((i + 1) * dt, 0.0, lon))
-    return Trip(user_id, modality, points)
+    lons = [0.0]
+    for v in interval_speeds:
+        lons.append(lons[-1] + v * dt / METERS_PER_LON_DEGREE_AT_EQUATOR)
+    times = [i * dt for i in range(len(lons))]
+    return Trip(user_id, modality, Track(times, [0.0] * len(lons), lons))
 
 
 def random_profile(rng: np.random.Generator, user_id: str = "000") -> UserProfile:

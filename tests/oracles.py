@@ -9,42 +9,50 @@ from __future__ import annotations
 
 import math
 import statistics
+from datetime import date, datetime, timezone
 
 import numpy as np
 
-from tripkin.geokinematics import EARTH_RADIUS_M, GpsPoint, haversine_distance
+from tripkin.geokinematics import EARTH_RADIUS_M
+from tripkin.ingest import PLT_HEADER, EmptyFile, MalformedLine
 from tripkin.learn import DecisionTree, EmptyTrainingSet, Leaf, Split, class_order
 
 
-def slc_distance(a: GpsPoint, b: GpsPoint) -> float:
+def slc_distance(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
     """Great-circle distance via the spherical law of cosines."""
-    phi1 = math.radians(a.latitude)
-    phi2 = math.radians(b.latitude)
-    dlam = math.radians(b.longitude - a.longitude)
+    phi1 = math.radians(lat_a)
+    phi2 = math.radians(lat_b)
+    dlam = math.radians(lon_b - lon_a)
     x = math.sin(phi1) * math.sin(phi2) + math.cos(phi1) * math.cos(phi2) * math.cos(dlam)
     return EARTH_RADIUS_M * math.acos(max(-1.0, min(1.0, x)))
+
+
+def haversine_m(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
+    """Great-circle distance via the haversine formula, one pair, stdlib math."""
+    phi_a = math.radians(lat_a)
+    phi_b = math.radians(lat_b)
+    dphi = math.radians(lat_b - lat_a)
+    dlam = math.radians(lon_b - lon_a)
+    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi_a) * math.cos(phi_b) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
 def naive_trip_features(trip) -> dict[str, float]:
     """Recompute every per-trip statistic with stdlib arithmetic.
 
-    Shares only the distance primitive (which has its own oracle) with
-    the implementation under test.
+    Shares no code with the implementation under test: distances come
+    from this module's own scalar haversine.
     """
-    pts = trip.points
+    t = trip.points.t.tolist()
+    lat = trip.points.lat.tolist()
+    lon = trip.points.lon.tolist()
     speeds = []
-    times = []
-    for i in range(len(pts) - 1):
-        dt = pts[i + 1].timestamp - pts[i].timestamp
-        speeds.append(haversine_distance(pts[i], pts[i + 1]) / dt)
-        times.append(pts[i + 1].timestamp)
-    accels = [
-        (speeds[i + 1] - speeds[i]) / (times[i + 1] - times[i])
-        for i in range(len(speeds) - 1)
-    ]
+    for i in range(len(t) - 1):
+        speeds.append(haversine_m(lat[i], lon[i], lat[i + 1], lon[i + 1]) / (t[i + 1] - t[i]))
+    accels = [(speeds[i + 1] - speeds[i]) / (t[i + 2] - t[i + 1]) for i in range(len(speeds) - 1)]
     abs_accels = [abs(a) for a in accels]
     return {
-        "duration_s": pts[-1].timestamp - pts[0].timestamp,
+        "duration_s": t[-1] - t[0],
         "max_speed": max(speeds),
         "min_speed": min(speeds),
         "max_pos_accel": max(accels),
@@ -55,6 +63,77 @@ def naive_trip_features(trip) -> dict[str, float]:
         "std_accel": statistics.pstdev(accels),
         "std_abs_accel": statistics.pstdev(abs_accels),
     }
+
+
+def _plain_digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
+
+
+def _plt_epoch_seconds(date_s: str, time_s: str) -> int:
+    hh, mm, ss = time_s[0:2], time_s[3:5], time_s[6:8]
+    if len(time_s) != 8 or time_s[2] != ":" or time_s[5] != ":" or not _plain_digits(hh + mm + ss):
+        raise ValueError(f"bad time {time_s!r}")
+    hh, mm, ss = int(hh), int(mm), int(ss)
+    if not (0 <= hh < 24 and 0 <= mm < 60 and 0 <= ss < 60):
+        raise ValueError(f"bad time {time_s!r}")
+    year, month, day = date_s[0:4], date_s[5:7], date_s[8:10]
+    if len(date_s) != 10 or date_s[4] != "-" or date_s[7] != "-" or not _plain_digits(year + month + day):
+        raise ValueError(f"bad date {date_s!r}")
+    days = date(int(year), int(month), int(day)).toordinal() - date(1970, 1, 1).toordinal()
+    return days * 86400 + hh * 3600 + mm * 60 + ss
+
+
+def _plt_coordinate(s: str) -> float:
+    if not s.isascii() or "_" in s:
+        raise ValueError(f"bad coordinate {s!r}")
+    return float(s)
+
+
+def parse_plt_lines(data: bytes | str) -> tuple[list[int], list[float], list[float]]:
+    """The line-at-a-time PLT parser: (t, lat, lon) lists in file order.
+
+    Same rules and messages as ``ingest.parse_plt``: 6 header lines, blank
+    lines skipped, 7 fields per line, ASCII-only coordinates, ASCII-digit
+    dates and times, out-of-range coordinates dropped; the first bad line
+    raises MalformedLine.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(0, f"undecodable bytes: {exc}") from None
+    t, lat, lon = [], [], []
+    n_data = 0
+    for line_no, line in enumerate(data.splitlines()[6:], start=7):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise MalformedLine(line_no, f"expected 7 fields, got {len(fields)}")
+        n_data += 1
+        try:
+            la = _plt_coordinate(fields[0])
+            lo = _plt_coordinate(fields[1])
+            ts = _plt_epoch_seconds(fields[5], fields[6])
+        except ValueError as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+        if -90.0 <= la <= 90.0 and -180.0 <= lo <= 180.0:
+            t.append(ts)
+            lat.append(la)
+            lon.append(lo)
+    if n_data == 0:
+        raise EmptyFile("no data lines after the 6-line header")
+    return t, lat, lon
+
+
+def format_plt_datetime(t, lat, lon) -> str:
+    """PLT text with one ``datetime`` per fix, as ``ingest.format_plt`` wrote it before."""
+    rows = []
+    for ts, la, lo in zip(t, lat, lon):
+        dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+        frac_days = ts / 86400.0 + 25569
+        rows.append(f"{la!r},{lo!r},0,0,{frac_days!r},{dt:%Y-%m-%d},{dt:%H:%M:%S}\n")
+    return PLT_HEADER + "".join(rows)
 
 
 def quantile_interpolated(values, q: float) -> float:

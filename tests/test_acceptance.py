@@ -18,7 +18,7 @@ from tripkin import anomaly as anomaly_mod
 from tripkin import features as features_mod
 from tripkin import ingest, learn, synth
 from tripkin.features import FEATURE_NAMES
-from tripkin.geokinematics import EARTH_RADIUS_M, GpsPoint, haversine_distance
+from tripkin.geokinematics import EARTH_RADIUS_M, haversine_distance
 
 from helpers import random_trips
 from oracles import (
@@ -45,19 +45,15 @@ def test_c1_geodesy_oracle():
     rng = np.random.default_rng(101)
     checked = 0
     while checked < 1000:
-        lat_a, lat_b = np.degrees(np.arcsin(rng.uniform(-1, 1, size=2)))
-        lon_a, lon_b = rng.uniform(-180, 180, size=2)
-        a = GpsPoint(0.0, float(lat_a), float(lon_a))
-        b = GpsPoint(0.0, float(lat_b), float(lon_b))
-        d = haversine_distance(a, b)
+        lat_a, lat_b = np.degrees(np.arcsin(rng.uniform(-1, 1, size=2))).tolist()
+        lon_a, lon_b = rng.uniform(-180, 180, size=2).tolist()
+        d = haversine_distance(lat_a, lon_a, lat_b, lon_b)
         if d < 1000.0 or d > (math.pi - 0.05) * EARTH_RADIUS_M:
             continue  # the cosine oracle loses precision at the extremes
-        assert d == pytest.approx(slc_distance(a, b), rel=1e-6)
-        assert d == haversine_distance(b, a)
+        assert d == pytest.approx(slc_distance(lat_a, lon_a, lat_b, lon_b), rel=1e-6)
+        assert d == haversine_distance(lat_b, lon_b, lat_a, lon_a)
         checked += 1
-    equator_a = GpsPoint(0.0, 0.0, 0.0)
-    equator_b = GpsPoint(0.0, 0.0, 180.0)
-    assert haversine_distance(equator_a, equator_b) == pytest.approx(
+    assert haversine_distance(0.0, 0.0, 0.0, 180.0) == pytest.approx(
         math.pi * EARTH_RADIUS_M, rel=1e-9
     )
     ok("C1 geodesy oracle (1000 pairs, symmetry, antipodal)")
@@ -244,12 +240,15 @@ def test_c8_determinism():
 @pytest.fixture(scope="module")
 def geolife_dataset():
     trips = []
-    labels_skipped = 0
+    labels_skipped = duplicates = 0
     for archive in ingest.iter_user_archives(GEOLIFE_ROOT):
-        user_trips, skipped = ingest.assemble_trips(archive)
+        user_trips, skipped, dropped = ingest.assemble_trips(archive)
         trips.extend(user_trips)
         labels_skipped += skipped
-    return features_mod.build_feature_dataset(trips, min_trips=30, labels_skipped=labels_skipped)
+        duplicates += dropped
+    return features_mod.build_feature_dataset(
+        trips, min_trips=30, labels_skipped=labels_skipped, duplicate_timestamps=duplicates
+    )
 
 
 @needs_geolife

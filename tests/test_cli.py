@@ -29,6 +29,11 @@ def make_profiles(path, n_users=3, trips=36):
     return path
 
 
+def rows_by_user(path):
+    lines = path.read_text().splitlines()[1:]
+    return {u: [r for r in lines if r.startswith(u + ",")] for u in ("000", "001", "002")}
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("corpus")
@@ -90,14 +95,30 @@ class TestExtractCommand:
         assert main(["extract", "--root", str(root), "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
         assert "quarantined files:           1\n" in capsys.readouterr().out
 
-        def rows_by_user(path):
-            lines = path.read_text().splitlines()[1:]
-            return {u: [r for r in lines if r.startswith(u + ",")] for u in ("000", "001", "002")}
-
         before = rows_by_user(features_csv)
         after = rows_by_user(tmp_path / "out" / "features.csv")
         assert after["000"] == before["000"] and after["002"] == before["002"]
         assert len(after["001"]) == len(before["001"]) - 1
+
+    def test_bad_labels_file_quarantines_only_that_user(self, corpus_dir, tmp_path, capsys):
+        # The user is skipped as if absent: the output equals that of the
+        # corpus without user 001 (the pooled IQR fences move with it).
+        root, without = tmp_path / "raw", tmp_path / "without-001"
+        shutil.copytree(corpus_dir / "raw", root)
+        shutil.copytree(corpus_dir / "raw", without)
+        shutil.rmtree(without / "Data" / "001")
+        with open(root / "Data" / "001" / "labels.txt", "a") as fh:
+            fh.write("not a label\n")
+        capsys.readouterr()
+        assert main(["extract", "--root", str(root), "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "labeled users loaded:        2\n" in out
+        assert "quarantined files:           1\n" in out
+        assert main(["extract", "--root", str(without), "--out", str(tmp_path / "ref"), "--seed", "1"]) == 0
+
+        after = rows_by_user(tmp_path / "out" / "features.csv")
+        expected = rows_by_user(tmp_path / "ref" / "features.csv")
+        assert after == expected and after["000"] and after["002"] and not after["001"]
 
 
 class TestClassifyCommand:

@@ -17,7 +17,7 @@ from tripkin.features import (
     read_features_csv,
     write_features_csv,
 )
-from tripkin.geokinematics import DuplicateTimestamp, TooFewPoints
+from tripkin.geokinematics import DuplicateTimestamp, TooFewPoints, Track
 from tripkin.synth import UserProfile, generate_trip
 
 from helpers import equator_trip, random_trips
@@ -45,7 +45,7 @@ class TestExtractFeatures:
             assert getattr(feats, name) == pytest.approx(0.0, abs=1e-6)
 
     def test_hand_computed_accelerations(self):
-        feats = extract_features(equator_trip([0.0, 10.0, 4.0], dt=1.0))
+        feats = extract_features(equator_trip([0.0, 10.0, 4.0], dt=1))
         assert feats.max_pos_accel == pytest.approx(10.0, rel=1e-9)
         assert feats.min_neg_accel == pytest.approx(-6.0, rel=1e-9)
         assert feats.mean_abs_accel == pytest.approx(8.0, rel=1e-9)
@@ -60,7 +60,9 @@ class TestExtractFeatures:
     def test_duplicate_timestamp_propagates(self):
         trip = equator_trip([5.0, 5.0, 5.0])
         broken = type(trip)(trip.user_id, trip.modality, trip.points)
-        object.__setattr__(broken, "points", trip.points[:2] + trip.points[1:])
+        pts = trip.points
+        repeated = Track(*(np.concatenate([c[:2], c[1:]]) for c in (pts.t, pts.lat, pts.lon)))
+        object.__setattr__(broken, "points", repeated)
         with pytest.raises(DuplicateTimestamp):
             extract_features(broken)
 
@@ -77,8 +79,8 @@ class TestExtractFeatures:
             assert feats.max_speed >= feats.mean_speed >= feats.min_speed >= 0.0
 
     def test_scale_property(self):
-        trip = equator_trip([3.0, 7.0, 5.0, 9.0, 2.0], dt=4.0)
-        doubled = equator_trip([6.0, 14.0, 10.0, 18.0, 4.0], dt=4.0)
+        trip = equator_trip([3.0, 7.0, 5.0, 9.0, 2.0], dt=4)
+        doubled = equator_trip([6.0, 14.0, 10.0, 18.0, 4.0], dt=4)
         base = extract_features(trip)
         scaled = extract_features(doubled)
         assert scaled.duration_s == base.duration_s

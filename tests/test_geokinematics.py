@@ -5,147 +5,166 @@ import pytest
 
 from tripkin.geokinematics import (
     EARTH_RADIUS_M,
-    AccelerationSample,
     DuplicateTimestamp,
-    GpsPoint,
-    SpeedSample,
     TooFewPoints,
+    Track,
     acceleration_sequence,
     haversine_distance,
     speed_sequence,
 )
 
-from oracles import slc_distance
+from oracles import haversine_m, slc_distance
 
 
 def random_points(n, seed, lat_range=(-85.0, 85.0)):
+    """Latitudes and longitudes of n fixes spread evenly over the sphere."""
     rng = np.random.default_rng(seed)
     lats = np.degrees(np.arcsin(rng.uniform(-1, 1, size=n)))
     lats = np.clip(lats, *lat_range)
     lons = rng.uniform(-180.0, 180.0, size=n)
-    return [GpsPoint(float(i), float(lat), float(lon)) for i, (lat, lon) in enumerate(zip(lats, lons))]
+    return lats, lons
 
 
-class TestGpsPoint:
+class TestTrack:
     def test_validates_ranges(self):
-        GpsPoint(0.0, 90.0, -180.0)
+        Track([0], [90.0], [-180.0])
         with pytest.raises(ValueError):
-            GpsPoint(0.0, 90.5, 0.0)
+            Track([0], [90.5], [0.0])
         with pytest.raises(ValueError):
-            GpsPoint(0.0, 0.0, 180.5)
+            Track([0], [0.0], [180.5])
         with pytest.raises(ValueError):
-            GpsPoint(math.nan, 0.0, 0.0)
+            Track([0], [math.nan], [0.0])
+        with pytest.raises(ValueError):
+            Track([math.nan], [0.0], [0.0])
+        with pytest.raises(ValueError):
+            Track([0.5], [0.0], [0.0])  # whole seconds only
+        with pytest.raises(ValueError):
+            Track([0, 1], [0.0], [0.0, 0.0])
+
+    def test_columns_are_read_only_and_slices_are_tracks(self):
+        track = Track([1, 2, 3], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+        assert track.t.dtype == np.int64 and len(track) == 3
+        with pytest.raises(ValueError):
+            track.lat[0] = 0.0
+        tail = track[1:]
+        assert tail == Track([2, 3], [2.0, 3.0], [5.0, 6.0])
+        assert tail != track
+        with pytest.raises(TypeError):
+            track[0]
 
 
 class TestHaversine:
     def test_identical_points(self):
-        p = GpsPoint(0.0, 39.9, 116.4)
-        assert haversine_distance(p, GpsPoint(1.0, 39.9, 116.4)) == 0.0
+        assert haversine_distance(39.9, 116.4, 39.9, 116.4) == 0.0
 
     def test_antipodal_on_equator(self):
-        a = GpsPoint(0.0, 0.0, 0.0)
-        b = GpsPoint(0.0, 0.0, 180.0)
-        assert haversine_distance(a, b) == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-9)
+        d = haversine_distance(0.0, 0.0, 0.0, 180.0)
+        assert d == pytest.approx(math.pi * EARTH_RADIUS_M, rel=1e-9)
 
     def test_one_millidegree_of_latitude(self):
-        a = GpsPoint(0.0, 39.9000, 116.4000)
-        b = GpsPoint(0.0, 39.9010, 116.4000)
-        expected = slc_distance(a, b)
+        expected = slc_distance(39.9000, 116.4000, 39.9010, 116.4000)
         assert expected == pytest.approx(111.2, abs=0.1)
-        assert haversine_distance(a, b) == pytest.approx(expected, rel=1e-6)
+        assert haversine_distance(39.9000, 116.4000, 39.9010, 116.4000) == pytest.approx(expected, rel=1e-6)
 
     def test_symmetry_exact(self):
-        pts = random_points(200, seed=7)
-        for a, b in zip(pts, pts[1:]):
-            assert haversine_distance(a, b) == haversine_distance(b, a)
+        lats, lons = random_points(200, seed=7)
+        forward = haversine_distance(lats[:-1], lons[:-1], lats[1:], lons[1:])
+        backward = haversine_distance(lats[1:], lons[1:], lats[:-1], lons[:-1])
+        assert np.array_equal(forward, backward)
 
     def test_agrees_with_law_of_cosines_oracle(self):
-        pts = random_points(1000, seed=11)
+        lats, lons = random_points(1000, seed=11)
         rng = np.random.default_rng(12)
-        for _ in range(1000):
-            i, j = rng.integers(len(pts), size=2)
-            a, b = pts[i], pts[j]
-            d = haversine_distance(a, b)
+        i, j = rng.integers(len(lats), size=(2, 1000))
+        d = haversine_distance(lats[i], lons[i], lats[j], lons[j])
+        for k in range(1000):
             # The cosine form loses precision near coincident/antipodal pairs.
-            if d < 1000.0 or d > (math.pi - 0.05) * EARTH_RADIUS_M:
+            if d[k] < 1000.0 or d[k] > (math.pi - 0.05) * EARTH_RADIUS_M:
                 continue
-            assert d == pytest.approx(slc_distance(a, b), rel=1e-6)
+            want = slc_distance(float(lats[i[k]]), float(lons[i[k]]), float(lats[j[k]]), float(lons[j[k]]))
+            assert d[k] == pytest.approx(want, rel=1e-6)
+
+    def test_bit_equal_to_scalar_haversine(self):
+        # The array form must reproduce the scalar math-module formula to
+        # the last bit, so features stay byte-identical; short hops (the
+        # urban case) and long ones both.
+        lats, lons = random_points(2000, seed=15)
+        rng = np.random.default_rng(16)
+        near_lats = lats + rng.normal(0.0, 1e-4, size=lats.size)
+        near_lons = lons + rng.normal(0.0, 1e-4, size=lons.size)
+        for lat_b, lon_b in ((np.roll(lats, 1), np.roll(lons, 1)), (np.clip(near_lats, -90, 90), near_lons)):
+            got = haversine_distance(lats, lons, lat_b, lon_b)
+            want = [haversine_m(*args) for args in zip(lats.tolist(), lons.tolist(), lat_b.tolist(), lon_b.tolist())]
+            assert got.tolist() == want
 
     def test_triangle_inequality(self):
-        pts = random_points(300, seed=13)
+        lats, lons = random_points(300, seed=13)
         rng = np.random.default_rng(14)
-        for _ in range(300):
-            a, b, c = (pts[i] for i in rng.integers(len(pts), size=3))
-            d_ac = haversine_distance(a, c)
-            d_ab = haversine_distance(a, b)
-            d_bc = haversine_distance(b, c)
-            assert d_ac <= (d_ab + d_bc) * (1 + 1e-9) + 1e-9
+        a, b, c = rng.integers(len(lats), size=(3, 300))
+        d_ac = haversine_distance(lats[a], lons[a], lats[c], lons[c])
+        d_ab = haversine_distance(lats[a], lons[a], lats[b], lons[b])
+        d_bc = haversine_distance(lats[b], lons[b], lats[c], lons[c])
+        assert np.all(d_ac <= (d_ab + d_bc) * (1 + 1e-9) + 1e-9)
+
+
+def speeds_of(t, lats, lons):
+    return speed_sequence(np.asarray(t), np.asarray(lats, dtype=float), np.asarray(lons, dtype=float))
 
 
 class TestSpeedSequence:
     def test_zero_speed(self):
-        pts = [GpsPoint(0.0, 10.0, 20.0), GpsPoint(10.0, 10.0, 20.0)]
-        samples = speed_sequence(pts)
-        assert samples == [SpeedSample(10.0, 0.0)]
+        assert speeds_of([0, 10], [10.0, 10.0], [20.0, 20.0]).tolist() == [0.0]
 
     def test_hundred_meters_every_ten_seconds(self):
         # 100 m hops along the equator; the cosine oracle confirms the hop
         # length at its own (conditioning-limited) precision.
         deg = 100.0 / (EARTH_RADIUS_M * math.pi / 180.0)
-        pts = [GpsPoint(10.0 * i, 0.0, deg * i) for i in range(3)]
-        for a, b in zip(pts, pts[1:]):
-            assert slc_distance(a, b) == pytest.approx(100.0, rel=1e-6)
-        speeds = [s.speed for s in speed_sequence(pts)]
+        lons = [deg * i for i in range(3)]
+        for a, b in zip(lons, lons[1:]):
+            assert slc_distance(0.0, a, 0.0, b) == pytest.approx(100.0, rel=1e-6)
+        speeds = speeds_of([0, 10, 20], [0.0] * 3, lons)
         assert speeds == pytest.approx([10.0, 10.0], rel=1e-9)
-        assert [s.interval_end_time for s in speed_sequence(pts)] == [10.0, 20.0]
 
     def test_duplicate_timestamp(self):
-        pts = [GpsPoint(5.0, 0.0, 0.0), GpsPoint(5.0, 0.0, 0.1)]
         with pytest.raises(DuplicateTimestamp):
-            speed_sequence(pts)
+            speeds_of([5, 5], [0.0, 0.0], [0.0, 0.1])
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            speed_sequence([GpsPoint(0.0, 0.0, 0.0)])
+            speeds_of([0], [0.0], [0.0])
 
     def test_length_and_nonnegativity(self):
-        pts = random_points(50, seed=3)
-        pts = [GpsPoint(float(i) * 7.0, p.latitude, p.longitude) for i, p in enumerate(pts)]
-        samples = speed_sequence(pts)
-        assert len(samples) == len(pts) - 1
-        assert all(s.speed >= 0.0 for s in samples)
+        lats, lons = random_points(50, seed=3)
+        speeds = speeds_of(np.arange(50) * 7, lats, lons)
+        assert len(speeds) == 49
+        assert np.all(speeds >= 0.0)
 
 
 class TestAccelerationSequence:
     def test_constant_speeds(self):
-        speeds = [SpeedSample(float(t), 10.0) for t in (1, 2, 3)]
-        accels = acceleration_sequence(speeds)
-        assert [a.acceleration for a in accels] == [0.0, 0.0]
+        accels = acceleration_sequence(np.array([1, 2, 3]), np.array([10.0, 10.0, 10.0]))
+        assert accels.tolist() == [0.0, 0.0]
 
     def test_definition_positive(self):
-        accels = acceleration_sequence([SpeedSample(0.0, 0.0), SpeedSample(5.0, 10.0)])
-        assert accels == [AccelerationSample(5.0, 2.0)]
+        assert acceleration_sequence(np.array([0, 5]), np.array([0.0, 10.0])).tolist() == [2.0]
 
     def test_definition_negative(self):
-        accels = acceleration_sequence([SpeedSample(0.0, 10.0), SpeedSample(2.0, 4.0)])
-        assert accels == [AccelerationSample(2.0, -3.0)]
+        assert acceleration_sequence(np.array([0, 2]), np.array([10.0, 4.0])).tolist() == [-3.0]
 
     def test_errors(self):
         with pytest.raises(TooFewPoints):
-            acceleration_sequence([SpeedSample(0.0, 1.0)])
+            acceleration_sequence(np.array([0]), np.array([1.0]))
         with pytest.raises(DuplicateTimestamp):
-            acceleration_sequence([SpeedSample(1.0, 1.0), SpeedSample(1.0, 2.0)])
+            acceleration_sequence(np.array([1, 1]), np.array([1.0, 2.0]))
 
 
 def test_time_shift_invariance():
-    rng = np.random.default_rng(21)
-    pts = random_points(40, seed=22)
-    pts = [GpsPoint(float(i) * 5.0, p.latitude, p.longitude) for i, p in enumerate(pts)]
+    lats, lons = random_points(40, seed=22)
+    t = np.arange(40) * 5
     for shift in (86400, -1234567, 10**9):
-        shifted = [GpsPoint(p.timestamp + shift, p.latitude, p.longitude) for p in pts]
-        v0 = [s.speed for s in speed_sequence(pts)]
-        v1 = [s.speed for s in speed_sequence(shifted)]
+        v0 = speeds_of(t, lats, lons)
+        v1 = speeds_of(t + shift, lats, lons)
         assert v1 == pytest.approx(v0, rel=1e-12)
-        a0 = [a.acceleration for a in acceleration_sequence(speed_sequence(pts))]
-        a1 = [a.acceleration for a in acceleration_sequence(speed_sequence(shifted))]
+        a0 = acceleration_sequence(t[1:], v0)
+        a1 = acceleration_sequence(t[1:] + shift, v1)
         assert a1 == pytest.approx(a0, rel=1e-12)

@@ -1,8 +1,9 @@
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
-from tripkin.geokinematics import GpsPoint
+from tripkin.geokinematics import Track
 from tripkin.ingest import (
     EmptyFile,
     MalformedLine,
@@ -28,9 +29,10 @@ def plt_file(*rows: str) -> str:
 
 class TestParsePlt:
     def test_single_line(self):
-        pts = parse_plt(plt_file("39.984702,116.318417,0,492,39744.1201851852,2008-10-23,02:53:04"))
-        expected_ts = datetime(2008, 10, 23, 2, 53, 4, tzinfo=timezone.utc).timestamp()
-        assert pts == [GpsPoint(expected_ts, 39.984702, 116.318417)]
+        track = parse_plt(plt_file("39.984702,116.318417,0,492,39744.1201851852,2008-10-23,02:53:04"))
+        expected_ts = int(datetime(2008, 10, 23, 2, 53, 4, tzinfo=timezone.utc).timestamp())
+        assert track == Track([expected_ts], [39.984702], [116.318417])
+        assert track.t.dtype == np.int64
 
     def test_header_only_is_empty(self):
         with pytest.raises(EmptyFile):
@@ -50,26 +52,48 @@ class TestParsePlt:
             parse_plt(plt_file("thirty,116.3,0,492,39744.1,2008-10-23,02:53:04"))
 
     @pytest.mark.parametrize(
-        "date_s, time_s",
+        "lat_s, lon_s, date_s, time_s",
         (
-            ("2_08-01-01", "02:53:04"),  # int() reads "2_08" as 208
-            ("\uff12008-01-01", "02:53:04"),  # full-width digit two
-            ("2008-01-01", "02:5\uff13:04"),
-            ("2008-01-01", "+2:53:04"),
+            # int() reads "2_08" as 208
+            pytest.param("39.9", "116.3", "2_08-01-01", "02:53:04", id="2_08-01-01-02:53:04"),
+            # full-width digit two
+            pytest.param("39.9", "116.3", "\uff12008-01-01", "02:53:04", id="\uff12008-01-01-02:53:04"),
+            pytest.param("39.9", "116.3", "2008-01-01", "02:5\uff13:04", id="2008-01-01-02:5\uff13:04"),
+            pytest.param("39.9", "116.3", "2008-01-01", "+2:53:04", id="2008-01-01-+2:53:04"),
+            # float() reads both of these as 39.984702
+            pytest.param("3_9.984702", "116.3", "2008-01-01", "02:53:04", id="lat-3_9.984702"),
+            pytest.param("\uff13\uff19.984702", "116.3", "2008-01-01", "02:53:04", id="lat-full-width"),
+            pytest.param("39.9", "11_6.3", "2008-01-01", "02:53:04", id="lon-11_6.3"),
+            pytest.param("39.9", "\uff11\uff11\uff16.3", "2008-01-01", "02:53:04", id="lon-full-width"),
         ),
     )
-    def test_non_ascii_digit_fields_reject_file(self, date_s, time_s):
-        with pytest.raises(MalformedLine):
-            parse_plt(plt_file(f"39.9,116.3,0,492,39744.1,{date_s},{time_s}"))
+    def test_non_ascii_digit_fields_reject_file(self, lat_s, lon_s, date_s, time_s):
+        with pytest.raises(MalformedLine) as err:
+            parse_plt(plt_file(f"{lat_s},{lon_s},0,492,39744.1,{date_s},{time_s}"))
+        assert err.value.line_no == 7
+
+    def test_first_bad_line_wins_when_field_lengths_cancel(self):
+        # A 9- and a 7-character time field together span two 8-character
+        # slots; the first line must still be the one reported.
+        with pytest.raises(MalformedLine) as err:
+            parse_plt(
+                plt_file(
+                    "39.9,116.3,0,0,0,2008-10-23,02:53:045",
+                    "39.9,116.3,0,0,0,2008-10-23,02:53:0",
+                )
+            )
+        assert str(err.value) == "line 7: bad time '02:53:045'"
 
     def test_out_of_range_coordinates_dropped(self):
         pts = parse_plt(
             plt_file(
                 "400.0,116.3,0,0,0,2008-10-23,02:53:04",
                 "39.9,116.3,0,0,0,2008-10-23,02:53:05",
+                "nan,116.3,0,0,0,2008-10-23,02:53:06",
+                "39.9,-inf,0,0,0,2008-10-23,02:53:07",
             )
         )
-        assert len(pts) == 1 and pts[0].latitude == 39.9
+        assert len(pts) == 1 and pts.lat.tolist() == [39.9]
 
     def test_accepts_bytes_and_crlf(self):
         text = plt_file("39.9,116.3,0,0,0,2008-10-23,02:53:04").replace("\n", "\r\n")
@@ -82,7 +106,7 @@ class TestParsePlt:
                 "39.8,116.2,0,0,0,2008-10-23,02:53:04",
             )
         )
-        assert [p.latitude for p in pts] == [39.9, 39.8]
+        assert pts.lat.tolist() == [39.9, 39.8]
 
     def test_round_trip(self):
         original = plt_file(
@@ -136,60 +160,63 @@ class TestParseLabels:
         assert format_labels(labels) == text
 
 
-def point(t: float) -> GpsPoint:
-    return GpsPoint(t, 39.9, 116.3 + t * 1e-6)
+def track(*times: int) -> Track:
+    return Track(times, [39.9] * len(times), [116.3 + t * 1e-6 for t in times])
 
 
 class TestAssembleTrips:
     def test_interval_membership(self):
         archive = UserArchive(
             "010",
-            [[point(50), point(150), point(160), point(250)]],
+            [track(50, 150, 160, 250)],
             [TripLabel(100, 200, "walk")],
         )
-        trips, skipped = assemble_trips(archive)
+        trips, skipped, _ = assemble_trips(archive)
         assert skipped == 0
-        assert [p.timestamp for p in trips[0].points] == [150, 160]
+        assert trips[0].points.t.tolist() == [150, 160]
 
     def test_closed_interval_boundaries(self):
         archive = UserArchive(
-            "010", [[point(100), point(200)]], [TripLabel(100, 200, "walk")]
+            "010", [track(100, 200)], [TripLabel(100, 200, "walk")]
         )
-        trips, _ = assemble_trips(archive)
-        assert [p.timestamp for p in trips[0].points] == [100, 200]
+        trips, _, _ = assemble_trips(archive)
+        assert trips[0].points.t.tolist() == [100, 200]
 
     def test_too_few_points_skipped(self):
         archive = UserArchive(
-            "010", [[point(50), point(250)]], [TripLabel(100, 200, "walk")]
+            "010", [track(50, 250)], [TripLabel(100, 200, "walk")]
         )
-        trips, skipped = assemble_trips(archive)
+        trips, skipped, _ = assemble_trips(archive)
         assert trips == [] and skipped == 1
 
     def test_merges_multiple_files_sorted(self):
-        file_a = [point(120), point(140)]
-        file_b = [point(110), point(130), point(150)]
+        file_a = track(120, 140)
+        file_b = track(110, 130, 150)
         archive = UserArchive("010", [file_a, file_b], [TripLabel(100, 200, "bike")])
-        trips, _ = assemble_trips(archive)
-        stamps = [p.timestamp for p in trips[0].points]
+        trips, _, duplicates = assemble_trips(archive)
+        assert duplicates == 0
+        stamps = trips[0].points.t.tolist()
         assert stamps == sorted(stamps) == [110, 120, 130, 140, 150]
 
     def test_duplicate_timestamps_keep_first(self):
-        dup_a = GpsPoint(120, 10.0, 10.0)
-        dup_b = GpsPoint(120, 20.0, 20.0)
-        archive = UserArchive(
-            "010", [[point(110), dup_a], [dup_b, point(130)]], [TripLabel(100, 200, "bus")]
-        )
-        trips, _ = assemble_trips(archive)
-        at_120 = [p for p in trips[0].points if p.timestamp == 120]
+        dup_a = (120, 10.0, 10.0)
+        dup_b = (120, 20.0, 20.0)
+        file_a = Track(*zip((110, 39.9, 116.3), dup_a))
+        file_b = Track(*zip(dup_b, (130, 39.9, 116.3)))
+        archive = UserArchive("010", [file_a, file_b], [TripLabel(100, 200, "bus")])
+        trips, _, duplicates = assemble_trips(archive)
+        pts = trips[0].points
+        at_120 = [(t, lat, lon) for t, lat, lon in zip(pts.t.tolist(), pts.lat.tolist(), pts.lon.tolist()) if t == 120]
         assert at_120 == [dup_a]
+        assert duplicates == 1
 
     def test_never_emits_points_outside_label(self):
-        pts = [point(float(t)) for t in range(0, 500, 7)]
+        pts = track(*range(0, 500, 7))
         labels = [TripLabel(30, 90, "walk"), TripLabel(200, 260, "bus")]
         archive = UserArchive("010", [pts], labels)
-        trips, _ = assemble_trips(archive)
+        trips, _, _ = assemble_trips(archive)
         for trip, lab in zip(trips, labels):
-            assert all(lab.start_time <= p.timestamp <= lab.end_time for p in trip.points)
+            assert all(lab.start_time <= t <= lab.end_time for t in trip.points.t.tolist())
         total_emitted = sum(len(t.points) for t in trips)
         assert total_emitted <= len(pts)
 
@@ -198,8 +225,7 @@ class TestLoadDataset:
     def write_user(self, root, user_id, with_labels=True):
         traj = root / "Data" / user_id / "Trajectory"
         traj.mkdir(parents=True)
-        pts = [point(float(t)) for t in range(0, 100, 10)]
-        (traj / "20081023025304.plt").write_text(format_plt(pts))
+        (traj / "20081023025304.plt").write_text(format_plt(track(*range(0, 100, 10))))
         if with_labels:
             (root / "Data" / user_id / "labels.txt").write_text(
                 format_labels([TripLabel(0, 60, "walk")])
@@ -250,12 +276,19 @@ class TestLoadDataset:
         assert second.quarantined == (f"{empty}: no data lines after the 6-line header",)
         assert len(second.trajectories) == 1
 
-    def test_malformed_labels_still_raise_with_path(self, tmp_path):
+    def test_malformed_labels_are_quarantined(self, tmp_path, caplog):
+        # The user is skipped with its path and line on record; the other
+        # users load as usual.
         self.write_user(tmp_path, "000")
-        (tmp_path / "Data" / "000" / "labels.txt").write_text("header\nnot a label\n")
-        with pytest.raises(MalformedLine) as err:
-            list(iter_user_archives(tmp_path))
-        assert "labels.txt: line 2" in str(err.value)
+        self.write_user(tmp_path, "001")
+        labels = tmp_path / "Data" / "000" / "labels.txt"
+        labels.write_text("header\nnot a label\n")
+        with caplog.at_level("WARNING", logger="tripkin.ingest"):
+            bad, good = iter_user_archives(tmp_path)
+        entry = f"{labels}: line 2: expected 3 tab-separated fields, got 1"
+        assert bad == UserArchive("000", [], [], (entry,))
+        assert good.user_id == "001" and good.quarantined == () and len(good.trajectories) == 1
+        assert [r.levelname for r in caplog.records if entry in r.getMessage()] == ["WARNING"]
 
     def test_deterministic(self, tmp_path):
         for uid in ("000", "001", "002"):
@@ -267,6 +300,8 @@ class TestLoadDataset:
 
 def test_trip_constructor_enforces_order():
     with pytest.raises(ValueError):
-        Trip("000", "walk", [point(2), point(1)])
+        Trip("000", "walk", track(2, 1))
     with pytest.raises(ValueError):
-        Trip("000", "walk", [point(1)])
+        Trip("000", "walk", track(1, 1))
+    with pytest.raises(ValueError):
+        Trip("000", "walk", track(1))
