@@ -59,7 +59,7 @@ class RunConfig:
             raise ValueError("--k-folds must be at least 2")
         if self.min_trips < 1:
             raise ValueError("--min-trips must be positive")
-        if self.iqr_mult <= 0:
+        if not self.iqr_mult > 0:
             raise ValueError("--iqr-mult must be positive")
         if not 0.0 < self.rate < 1.0:
             raise ValueError("--rate must be in (0, 1)")
@@ -74,9 +74,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config must be a JSON object, got {type(file_values).__name__}")
         unknown = set(file_values) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            # A key with a float default also takes an int; bool is never a number here.
+            numeric = isinstance(DEFAULTS[key], float)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if numeric else int):
+                kind = "a number" if numeric else "an integer"
+                raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
     resolved = {}
     for key, default in DEFAULTS.items():
         flag = getattr(args, key, None)
@@ -192,17 +200,12 @@ def cmd_classify(cfg: RunConfig) -> int:
         ("max_speed", "std_abs_accel"),
         ("max_speed", "mean_speed"),
     ):
+        x = dataset.rows[:, FEATURE_NAMES.index(x_name)].tolist()
+        y = dataset.rows[:, FEATURE_NAMES.index(y_name)].tolist()
         _write_csv(
             out_dir / f"scatter_{x_name}_vs_{y_name}.csv",
             ["user_id", x_name, y_name],
-            (
-                (
-                    row.user_id,
-                    repr(getattr(row.features, x_name)),
-                    repr(getattr(row.features, y_name)),
-                )
-                for row in dataset.rows
-            ),
+            zip(dataset.users.tolist(), map(repr, x), map(repr, y)),
         )
 
     for name, scores in (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,45 +36,9 @@ FEATURE_NAMES = (
 
 CSV_COLUMNS = ("user_id", "modality") + FEATURE_NAMES
 
-_feature_values = operator.attrgetter(*FEATURE_NAMES)
-
 
 class EmptyInput(ValueError):
     """An operation received an empty collection."""
-
-
-@dataclass(frozen=True, slots=True)
-class KinematicFeatures:
-    """The 10 per-trip kinematic statistics, in fixed column order."""
-
-    duration_s: float
-    max_speed: float
-    min_speed: float
-    max_pos_accel: float
-    min_neg_accel: float
-    mean_speed: float
-    mean_abs_accel: float
-    std_speed: float
-    std_accel: float
-    std_abs_accel: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, _feature_values(self))):
-            raise ValueError(f"features must be finite, got {self.as_vector()}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s!r}")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    """One trip's features plus its user and modality bookkeeping."""
-
-    user_id: str
-    modality: str
-    features: KinematicFeatures
 
 
 @dataclass(frozen=True)
@@ -103,43 +67,56 @@ class Provenance:
     per_user_after: dict[str, int] = field(default_factory=dict)
 
 
-def _stack(rows) -> np.ndarray:
-    """(len(rows), 10) feature matrix in FEATURE_NAMES column order."""
-    values = [_feature_values(row.features) for row in rows]
-    return np.array(values, dtype=float).reshape(len(values), len(FEATURE_NAMES))
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class FeatureDataset:
-    """Final filtered feature rows plus the drop counts that produced them.
+    """Feature rows of trips plus the drop counts that produced them.
 
-    The feature matrix and the user-id array are built once, here; rows
-    is stored as a tuple so neither can go stale.
+    rows is a read-only float64 (n, 10) matrix in FEATURE_NAMES column
+    order; users and modalities are read-only object arrays of the row
+    owners' ids and transport modes. Every value must be finite and every
+    duration positive, whether the rows were extracted or read from CSV.
+
+    Raises:
+        ValueError: a non-finite value, a non-positive duration, or
+            columns of unequal length.
     """
 
-    def __init__(self, rows, provenance: Provenance | None = None) -> None:
-        self.rows: tuple[FeatureRow, ...] = tuple(rows)
+    def __init__(self, rows, users, modalities, provenance: Provenance | None = None) -> None:
+        self.rows = _read_only(np.array(rows, dtype=float, order="C").reshape(len(rows), len(FEATURE_NAMES)))
+        self.users = _read_only(np.array(users, dtype=object))
+        self.modalities = _read_only(np.array(modalities, dtype=object))
         self.provenance = provenance if provenance is not None else Provenance()
-        self._matrix = _stack(self.rows)
-        self._matrix.flags.writeable = False
-        self.users = np.array([row.user_id for row in self.rows], dtype=object)
-        self.users.flags.writeable = False
+        if not len(self.rows) == len(self.users) == len(self.modalities):
+            raise ValueError(
+                f"{len(self.rows)} feature rows but {len(self.users)} users "
+                f"and {len(self.modalities)} modalities"
+            )
+        finite = np.isfinite(self.rows).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"features must be finite, got {self.rows[~finite][0]}")
+        duration = self.rows[:, FEATURE_NAMES.index("duration_s")]
+        if (duration <= 0).any():
+            raise ValueError(f"duration must be positive, got {duration[duration <= 0][0].item()!r}")
 
     def matrix(self) -> np.ndarray:
-        """Read-only (n_rows, 10) feature matrix in FEATURE_NAMES column order."""
-        return self._matrix
+        """The read-only (n_rows, 10) feature matrix, rows itself."""
+        return self.rows
 
-    def labels(self) -> list[str]:
-        return list(self.users)
+    def select(self, keep: np.ndarray) -> FeatureDataset:
+        """The rows where the boolean mask keep is true, in order; empty provenance."""
+        return FeatureDataset(self.rows[keep], self.users[keep], self.modalities[keep])
 
     def user_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for uid in self.users:
-            counts[uid] = counts.get(uid, 0) + 1
-        return counts
+        """Rows per user, in order of first appearance."""
+        return dict(Counter(self.users.tolist()))
 
 
-def extract_features(trip: Trip) -> KinematicFeatures:
-    """Compute the 10 kinematic statistics for one trip.
+def extract_features(trip: Trip) -> tuple[float, ...]:
+    """Compute the 10 kinematic statistics for one trip, in FEATURE_NAMES order.
 
     Needs at least 3 strictly increasing timestamps so the acceleration
     sequence is nonempty. Absolute-acceleration statistics are taken over
@@ -161,17 +138,17 @@ def extract_features(trip: Trip) -> KinematicFeatures:
     # Pairwise summation can overshoot the extremes by an ulp; keep the
     # mean inside [min, max] so the ordering invariant is exact.
     v_mean = min(max(float(v.mean()), v_min), v_max)
-    return KinematicFeatures(
-        duration_s=int(track.t[-1] - track.t[0]),
-        max_speed=v_max,
-        min_speed=v_min,
-        max_pos_accel=float(a.max()),
-        min_neg_accel=float(a.min()),
-        mean_speed=v_mean,
-        mean_abs_accel=float(abs_a.mean()),
-        std_speed=float(v.std()),
-        std_accel=float(a.std()),
-        std_abs_accel=float(abs_a.std()),
+    return (
+        int(track.t[-1] - track.t[0]),
+        v_max,
+        v_min,
+        float(a.max()),
+        float(a.min()),
+        v_mean,
+        float(abs_a.mean()),
+        float(v.std()),
+        float(a.std()),
+        float(abs_a.std()),
     )
 
 
@@ -199,15 +176,15 @@ def quantile(values, q: float) -> float:
     return float(v[lo] + (h - lo) * (v[hi] - v[lo]))
 
 
-def compute_iqr_bounds(rows: list[FeatureRow], multiplier: float = 1.5) -> IqrBounds:
-    """Tukey fences per feature over all rows of all users pooled together.
+def compute_iqr_bounds(matrix, multiplier: float = 1.5) -> IqrBounds:
+    """Tukey fences per feature column over all rows of all users pooled together.
 
     Raises:
         EmptyInput: no rows.
     """
-    if not rows:
+    mat = np.asarray(matrix, dtype=float)
+    if len(mat) == 0:
         raise EmptyInput("cannot compute bounds over zero rows")
-    mat = _stack(rows)
     q1 = np.array([quantile(mat[:, j], 0.25) for j in range(mat.shape[1])])
     q3 = np.array([quantile(mat[:, j], 0.75) for j in range(mat.shape[1])])
     iqr = q3 - q1
@@ -215,34 +192,30 @@ def compute_iqr_bounds(rows: list[FeatureRow], multiplier: float = 1.5) -> IqrBo
 
 
 def filter_outlier_trips(
-    rows: list[FeatureRow], bounds: IqrBounds
-) -> tuple[list[FeatureRow], dict[str, int]]:
+    dataset: FeatureDataset, bounds: IqrBounds
+) -> tuple[FeatureDataset, dict[str, int]]:
     """Keep rows whose features all lie inside the closed per-feature fences.
 
     Returns the retained rows (order preserved) and per-feature drop
     counts; a row outside several fences increments each of them.
     """
-    mat = _stack(rows)
-    outside = (mat < bounds.lower) | (mat > bounds.upper)
-    drops = dict(zip(FEATURE_NAMES, (int(n) for n in outside.sum(axis=0))))
-    kept = [row for row, out in zip(rows, outside.any(axis=1)) if not out]
-    return kept, drops
+    outside = (dataset.rows < bounds.lower) | (dataset.rows > bounds.upper)
+    drops = dict(zip(FEATURE_NAMES, outside.sum(axis=0).tolist()))
+    return dataset.select(~outside.any(axis=1)), drops
 
 
-def filter_users(rows: list[FeatureRow], min_trips: int = 30) -> FeatureDataset:
+def filter_users(dataset: FeatureDataset, min_trips: int = 30) -> FeatureDataset:
     """Keep only rows belonging to users with at least min_trips rows."""
-    before: dict[str, int] = {}
-    for row in rows:
-        before[row.user_id] = before.get(row.user_id, 0) + 1
-    keep_users = {uid for uid, n in before.items() if n >= min_trips}
-    kept = [row for row in rows if row.user_id in keep_users]
-    prov = Provenance(
-        below_min_trips_rows=len(rows) - len(kept),
+    before = dataset.user_counts()
+    keep_users = sorted(uid for uid, n in before.items() if n >= min_trips)
+    kept = dataset.select(np.isin(dataset.users, keep_users))
+    kept.provenance = Provenance(
+        below_min_trips_rows=len(dataset.rows) - len(kept.rows),
         users_dropped=len(before) - len(keep_users),
         per_user_before=dict(sorted(before.items())),
-        per_user_after={uid: before[uid] for uid in sorted(keep_users)},
+        per_user_after={uid: before[uid] for uid in keep_users},
     )
-    return FeatureDataset(rows=kept, provenance=prov)
+    return kept
 
 
 def build_feature_dataset(
@@ -258,44 +231,50 @@ def build_feature_dataset(
     of corrupted recordings. labels_skipped and duplicate_timestamps are
     the assembly counts, recorded in the provenance as given.
     """
-    rows: list[FeatureRow] = []
+    rows, users, modalities = [], [], []
     n_short = 0
     for trip in trips:
         try:
-            feats = extract_features(trip)
+            rows.append(extract_features(trip))
         except TooFewPoints:
             n_short += 1
             continue
-        rows.append(FeatureRow(trip.user_id, trip.modality, feats))
+        users.append(trip.user_id)
+        modalities.append(trip.modality)
+    featurized = FeatureDataset(rows, users, modalities)
 
     if rows:
-        bounds = compute_iqr_bounds(rows, multiplier=iqr_multiplier)
-        kept, per_feature = filter_outlier_trips(rows, bounds)
+        bounds = compute_iqr_bounds(featurized.rows, multiplier=iqr_multiplier)
+        kept, per_feature = filter_outlier_trips(featurized, bounds)
     else:
-        kept, per_feature = [], {name: 0 for name in FEATURE_NAMES}
+        kept, per_feature = featurized, {name: 0 for name in FEATURE_NAMES}
 
     dataset = filter_users(kept, min_trips=min_trips)
     prov = dataset.provenance
     prov.labels_skipped = labels_skipped
     prov.duplicate_timestamps = duplicate_timestamps
     prov.too_few_points = n_short
-    prov.iqr_dropped = len(rows) - len(kept)
+    prov.iqr_dropped = len(featurized.rows) - len(kept.rows)
     prov.iqr_dropped_per_feature = per_feature
     return dataset
+
+
+def _format_duration(value: float) -> str:
+    # Extracted durations are whole seconds and are written as integers.
+    return repr(int(value)) if value.is_integer() else repr(value)
 
 
 def write_features_csv(dataset: FeatureDataset, path: str | Path) -> None:
     """Write rows as CSV with full double precision (repr round-trip)."""
     path = Path(path)
+    columns = [dataset.users.tolist(), dataset.modalities.tolist()]
+    for name, values in zip(FEATURE_NAMES, dataset.rows.T.tolist()):
+        columns.append(map(_format_duration if name == "duration_s" else repr, values))
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in dataset.rows:
-            writer.writerow(
-                [row.user_id, row.modality]
-                + [repr(getattr(row.features, name)) for name in FEATURE_NAMES]
-            )
+        writer.writerows(zip(*columns))
     tmp.replace(path)
 
 
@@ -314,14 +293,15 @@ def _read_features(fh) -> FeatureDataset:
         raise EmptyInput("feature CSV has no header")
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected feature CSV header: {header!r}")
-    rows = []
+    # One flat list of floats, parsed as each row is read, so the cell
+    # strings of the whole file are never held at once.
+    users, modalities, values = [], [], []
     for rec in reader:
         if not rec:
             continue
         if len(rec) != len(CSV_COLUMNS):
             raise ValueError(f"feature CSV row has {len(rec)} columns: {rec!r}")
-        feats = KinematicFeatures(**{
-            name: float(value) for name, value in zip(FEATURE_NAMES, rec[2:])
-        })
-        rows.append(FeatureRow(rec[0], rec[1], feats))
-    return FeatureDataset(rows=rows)
+        users.append(rec[0])
+        modalities.append(rec[1])
+        values.extend(map(float, rec[2:]))
+    return FeatureDataset(np.reshape(values, (len(users), len(FEATURE_NAMES))), users, modalities)

@@ -314,7 +314,7 @@ def format_plt(track: Track) -> str:
     for ts, lat, lon in zip(track.t.tolist(), track.lat.tolist(), track.lon.tolist()):
         day, sec = divmod(ts, 86400)
         if day not in day_text:
-            day_text[day] = f"{date.fromordinal(_EPOCH_ORDINAL + day):%Y-%m-%d}"
+            day_text[day] = date.fromordinal(_EPOCH_ORDINAL + day).isoformat()
         hh, sec = divmod(sec, 3600)
         mm, ss = divmod(sec, 60)
         frac_days = ts / 86400.0 + _EPOCH_OFFSET_DAYS
@@ -378,7 +378,10 @@ def format_labels(labels: list[TripLabel]) -> str:
     for lab in labels:
         start = datetime.fromtimestamp(int(lab.start_time), tz=timezone.utc)
         end = datetime.fromtimestamp(int(lab.end_time), tz=timezone.utc)
-        rows.append(f"{start:%Y/%m/%d %H:%M:%S}\t{end:%Y/%m/%d %H:%M:%S}\t{lab.modality}\n")
+        # %Y does not zero-pad years below 1000, which the parser requires.
+        rows.append(
+            f"{start.year:04d}/{start:%m/%d %H:%M:%S}\t{end.year:04d}/{end:%m/%d %H:%M:%S}\t{lab.modality}\n"
+        )
     return LABELS_HEADER + "".join(rows)
 
 
@@ -473,8 +476,3 @@ def _quarantine(path: Path, exc: ValueError) -> str:
     entry = f"{path}: {exc}"
     log.warning("quarantined %s", entry)
     return entry
-
-
-def load_dataset(root: str | Path) -> list[UserArchive]:
-    """Load every labeled user under a Geolife-layout root (see iter_user_archives)."""
-    return list(iter_user_archives(root))

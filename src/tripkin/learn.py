@@ -457,7 +457,7 @@ def run_classification(
     ordered by descending trip count.
     """
     X = dataset.matrix()
-    y = dataset.labels()
+    y = dataset.users
     order = class_order(y)
     counts = dataset.user_counts()
     assignment = stratified_kfold(y, k=k, seed=seed)
@@ -466,13 +466,12 @@ def run_classification(
     weighted_scores = ModelScores()
     uniform_scores = ModelScores()
     confusion = np.zeros((len(order), len(order)), dtype=int)
-    y_arr = np.asarray(y, dtype=object)
 
     for fold in range(k):
         test = assignment.fold_of_row == fold
         train = ~test
-        X_train, y_train = X[train], list(y_arr[train])
-        X_test, y_test = X[test], list(y_arr[test])
+        X_train, y_train = X[train], list(y[train])
+        X_test, y_test = X[test], list(y[test])
 
         tree = train_tree(X_train, y_train, max_depth=max_depth)
         pred, probs = predict_batch(tree, X_test)

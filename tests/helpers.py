@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from tripkin.features import FEATURE_NAMES, FeatureDataset, extract_features
 from tripkin.geokinematics import EARTH_RADIUS_M, Track
 from tripkin.ingest import Trip
 from tripkin.synth import UserProfile, generate_trip
@@ -49,3 +50,13 @@ def random_trips(n: int, seed: int = 0) -> list[Trip]:
         profile = random_profile(rng, user_id=f"{i:03d}")
         trips.append(generate_trip(profile, seed=[seed, i]))
     return trips
+
+
+def features_of(trip: Trip) -> dict[str, float]:
+    """extract_features(trip) keyed by feature name."""
+    return dict(zip(FEATURE_NAMES, extract_features(trip)))
+
+
+def feature_dataset(rows, users) -> FeatureDataset:
+    """A dataset of the given feature rows and their users, every trip a walk."""
+    return FeatureDataset(rows, users, ["walk"] * len(users))

@@ -132,7 +132,7 @@ def format_plt_datetime(t, lat, lon) -> str:
     for ts, la, lo in zip(t, lat, lon):
         dt = datetime.fromtimestamp(ts, tz=timezone.utc)
         frac_days = ts / 86400.0 + 25569
-        rows.append(f"{la!r},{lo!r},0,0,{frac_days!r},{dt:%Y-%m-%d},{dt:%H:%M:%S}\n")
+        rows.append(f"{la!r},{lo!r},0,0,{frac_days!r},{dt.year:04d}-{dt:%m-%d},{dt:%H:%M:%S}\n")
     return PLT_HEADER + "".join(rows)
 
 

@@ -20,7 +20,7 @@ from tripkin import ingest, learn, synth
 from tripkin.features import FEATURE_NAMES
 from tripkin.geokinematics import EARTH_RADIUS_M, haversine_distance
 
-from helpers import random_trips
+from helpers import feature_dataset, features_of, random_trips
 from oracles import (
     average_precision_sweep,
     lof_bruteforce,
@@ -62,13 +62,13 @@ def test_c1_geodesy_oracle():
 def test_c2_feature_oracle():
     trips = random_trips(1000, seed=102)
     for trip in trips:
-        got = features_mod.extract_features(trip)
+        got = features_of(trip)
         want = naive_trip_features(trip)
         for name in FEATURE_NAMES:
-            assert getattr(got, name) == pytest.approx(
+            assert got[name] == pytest.approx(
                 want[name], rel=1e-9, abs=1e-12
             ), name
-        assert got.max_speed >= got.mean_speed >= got.min_speed >= 0.0
+        assert got["max_speed"] >= got["mean_speed"] >= got["min_speed"] >= 0.0
     ok("C2 feature oracle (1000 trips) and speed monotonicity")
 
 
@@ -83,16 +83,14 @@ def test_c3_quantile_and_iqr_oracle():
         )
     # Degenerate fences: only rows exactly equal to q1 survive that feature.
     base = {name: 1.0 for name in FEATURE_NAMES}
-    rows = [
-        features_mod.FeatureRow("u", "walk", features_mod.KinematicFeatures(**base))
-        for _ in range(6)
-    ]
+    rows = [list(base.values()) for _ in range(6)]
     odd = dict(base, std_speed=1.0 + 1e-12)
-    rows.append(features_mod.FeatureRow("u", "walk", features_mod.KinematicFeatures(**odd)))
-    bounds = features_mod.compute_iqr_bounds(rows)
-    kept, _ = features_mod.filter_outlier_trips(rows, bounds)
-    assert len(kept) == 6
-    assert all(r.features.std_speed == 1.0 for r in kept)
+    rows.append(list(odd.values()))
+    dataset = feature_dataset(rows, ["u"] * 7)
+    bounds = features_mod.compute_iqr_bounds(dataset.rows)
+    kept, _ = features_mod.filter_outlier_trips(dataset, bounds)
+    assert len(kept.rows) == 6
+    assert (kept.rows[:, FEATURE_NAMES.index("std_speed")] == 1.0).all()
     ok("C3 quantile oracle (500 arrays) and degenerate IQR")
 
 
@@ -200,11 +198,11 @@ def _separable_corpus():
         for i, speed in enumerate((3.0, 10.0, 20.0, 32.0, 45.0))
     ]
     corpus = synth.generate_corpus(profiles, seed=107)
-    rows = [
-        features_mod.FeatureRow(t.user_id, t.modality, features_mod.extract_features(t))
-        for t in corpus.trips
-    ]
-    return features_mod.filter_users(rows, min_trips=1)
+    return features_mod.FeatureDataset(
+        [features_mod.extract_features(t) for t in corpus.trips],
+        [t.user_id for t in corpus.trips],
+        [t.modality for t in corpus.trips],
+    )
 
 
 def test_c7_synthetic_end_to_end():

@@ -13,20 +13,22 @@ from tripkin.anomaly import (
     run_anomaly_experiment,
     standardize,
 )
-from tripkin.features import FEATURE_NAMES, FeatureRow, KinematicFeatures, filter_users
+from tripkin.features import FEATURE_NAMES
 
+from helpers import feature_dataset
 from oracles import average_precision_sweep, lof_bruteforce, lof_scores_loop
 
 
 def blob_dataset(centers, n_per_user=40, spread=0.2, seed=0):
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, users = [], []
     for u, center in enumerate(centers):
         for _ in range(n_per_user):
-            values = dict(zip(FEATURE_NAMES, rng.normal(center, spread, size=len(FEATURE_NAMES))))
-            values["duration_s"] = abs(values["duration_s"]) + 1.0
-            rows.append(FeatureRow(f"{u:03d}", "walk", KinematicFeatures(**values)))
-    return filter_users(rows, min_trips=1)
+            values = rng.normal(center, spread, size=len(FEATURE_NAMES))
+            values[0] = abs(values[0]) + 1.0  # duration_s
+            rows.append(values)
+            users.append(f"{u:03d}")
+    return feature_dataset(rows, users)
 
 
 class TestInjection:
@@ -56,12 +58,12 @@ class TestInjection:
 
     def test_insufficient_donors(self):
         rng = np.random.default_rng(0)
-        rows = []
+        rows, users = [], []
         for uid, n in (("big", 100), ("tiny", 2)):
             for _ in range(n):
-                values = dict(zip(FEATURE_NAMES, rng.uniform(1, 2, size=len(FEATURE_NAMES))))
-                rows.append(FeatureRow(uid, "walk", KinematicFeatures(**values)))
-        dataset = filter_users(rows, min_trips=1)
+                rows.append(rng.uniform(1, 2, size=len(FEATURE_NAMES)))
+                users.append(uid)
+        dataset = feature_dataset(rows, users)
         with pytest.raises(InsufficientDonors):
             inject_anomalies(dataset, "big", rate=0.03, seed=0)  # needs 3 of 2
 
@@ -244,13 +246,14 @@ class TestExperiment:
     def test_too_large_k_fails_before_any_trial(self, monkeypatch):
         # User "000" alone could run k=50 trials; "001" cannot (40 + 1 rows).
         rng = np.random.default_rng(19)
-        rows = []
+        rows, users = [], []
         for uid, n in (("000", 80), ("001", 40)):
             for _ in range(n):
-                values = dict(zip(FEATURE_NAMES, rng.normal(5.0, 1.0, size=len(FEATURE_NAMES))))
-                values["duration_s"] = abs(values["duration_s"]) + 1.0
-                rows.append(FeatureRow(uid, "walk", KinematicFeatures(**values)))
-        dataset = filter_users(rows, min_trips=1)
+                values = rng.normal(5.0, 1.0, size=len(FEATURE_NAMES))
+                values[0] = abs(values[0]) + 1.0  # duration_s
+                rows.append(values)
+                users.append(uid)
+        dataset = feature_dataset(rows, users)
         calls = []
         monkeypatch.setattr(
             "tripkin.anomaly.lof_scores", lambda *a, **kw: calls.append(1)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from tripkin.cli import main
-from tripkin.features import read_features_csv
+from tripkin.features import FEATURE_NAMES, read_features_csv
 
 
 def make_profiles(path, n_users=3, trips=36):
@@ -146,6 +146,18 @@ class TestClassifyCommand:
             user, _, precision, recall = line.split(",")
             assert float(precision) == report["per_class_precision"][user]
             assert float(recall) == report["per_class_recall"][user]
+        # Every number is a plain float literal (no numpy repr such as
+        # "np.float64(...)"), and the scatter columns are the dataset's.
+        dataset = read_features_csv(features_csv)
+        for line in features_csv.read_text().splitlines()[1:]:
+            assert len([float(cell) for cell in line.split(",")[2:]]) == len(FEATURE_NAMES)
+        for x_name, y_name in (("max_speed", "std_abs_accel"), ("max_speed", "mean_speed")):
+            lines = (out / f"scatter_{x_name}_vs_{y_name}.csv").read_text().splitlines()
+            assert lines[0] == f"user_id,{x_name},{y_name}"
+            users, xs, ys = zip(*(line.split(",") for line in lines[1:]))
+            assert list(users) == dataset.users.tolist()
+            assert [float(x) for x in xs] == dataset.rows[:, FEATURE_NAMES.index(x_name)].tolist()
+            assert [float(y) for y in ys] == dataset.rows[:, FEATURE_NAMES.index(y_name)].tolist()
 
     def test_deterministic_outputs(self, features_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -158,6 +170,24 @@ class TestClassifyCommand:
         rc = main(["classify", "--features", str(features_csv), "--out", str(tmp_path), "--k-folds", "1"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("std_speed", "nan", "error: features must be finite, got ["),
+            ("duration_s", "0", "error: duration must be positive, got 0.0\n"),
+        ],
+    )
+    def test_invalid_feature_value_exits_1(self, features_csv, tmp_path, capsys, column, value, message):
+        header, first, *rest = features_csv.read_text().splitlines(keepends=True)
+        cells = first.rstrip("\n").split(",")
+        cells[header.rstrip("\n").split(",").index(column)] = value
+        bad = tmp_path / "features.csv"
+        bad.write_text("".join([header, ",".join(cells) + "\n", *rest]))
+        capsys.readouterr()
+        rc = main(["classify", "--features", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
 
     def test_missing_features_file_exits_2(self, tmp_path):
         rc = main(["classify", "--features", str(tmp_path / "none.csv"), "--out", str(tmp_path)])
@@ -202,7 +232,7 @@ def test_importing_the_cli_loads_no_scipy():
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, features_csv, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 9, "k_folds": 5}))
+        config.write_text(json.dumps({"seed": 9, "k_folds": 5, "iqr_mult": 2, "rate": 0.05}))
         out_cfg = tmp_path / "from-config"
         assert main(
             ["classify", "--features", str(features_csv), "--out", str(out_cfg), "--config", str(config)]
@@ -220,8 +250,22 @@ class TestConfigFile:
         report = json.loads((out_flag / "classification_report.json").read_text())
         assert report["seed"] == 4
 
-    def test_unknown_config_key_exits_1(self, features_csv, tmp_path):
+    def test_unknown_config_key_exits_1(self, features_csv, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bogus": 1}))
-        rc = main(["classify", "--features", str(features_csv), "--out", str(tmp_path), "--config", str(config)])
-        assert rc == 1
+        for values, message in (
+            ({"bogus": 1}, "unknown config keys: ['bogus']"),
+            ([1, 2], "config must be a JSON object, got list"),
+            ("5", "config must be a JSON object, got str"),
+            ({"k_folds": "5"}, "config key 'k_folds' must be an integer, got '5'"),
+            ({"k_folds": True}, "config key 'k_folds' must be an integer, got True"),
+            ({"seed": 1.5}, "config key 'seed' must be an integer, got 1.5"),
+            ({"lof_k": None}, "config key 'lof_k' must be an integer, got None"),
+            ({"rate": "0.03"}, "config key 'rate' must be a number, got '0.03'"),
+            ({"iqr_mult": False}, "config key 'iqr_mult' must be a number, got False"),
+            ({"iqr_mult": float("nan")}, "--iqr-mult must be positive"),
+        ):
+            config.write_text(json.dumps(values))
+            capsys.readouterr()
+            rc = main(["classify", "--features", str(features_csv), "--out", str(tmp_path), "--config", str(config)])
+            assert rc == 1, values
+            assert capsys.readouterr().err == f"error: {message}\n"

@@ -15,7 +15,6 @@ from tripkin.ingest import (
     format_labels,
     format_plt,
     iter_user_archives,
-    load_dataset,
     parse_labels,
     parse_plt,
 )
@@ -155,9 +154,12 @@ class TestParseLabels:
             "Start Time\tEnd Time\tTransportation Mode\n"
             "2008/04/02 11:24:21\t2008/04/02 11:50:45\ttrain\n"
             "2008/04/03 08:00:00\t2008/04/03 09:10:11\twalk\n"
+            "0999/12/31 23:00:00\t0999/12/31 23:59:59\tbike\n"
         )
         labels, _ = parse_labels(text)
+        assert labels[2].start_time == datetime(999, 12, 31, 23, tzinfo=timezone.utc).timestamp()
         assert format_labels(labels) == text
+        assert parse_labels(format_labels(labels)) == (labels, 0)
 
 
 def track(*times: int) -> Track:
@@ -235,23 +237,23 @@ class TestLoadDataset:
         self.write_user(tmp_path, "000")
         self.write_user(tmp_path, "001", with_labels=False)
         self.write_user(tmp_path, "002")
-        archives = load_dataset(tmp_path)
+        archives = list(iter_user_archives(tmp_path))
         assert [a.user_id for a in archives] == ["000", "002"]
 
     def test_archive_contents(self, tmp_path):
         self.write_user(tmp_path, "000")
-        archive = load_dataset(tmp_path)[0]
+        archive = list(iter_user_archives(tmp_path))[0]
         assert len(archive.trajectories) == 1
         assert len(archive.trajectories[0]) == 10
         assert len(archive.labels) == 1
 
     def test_empty_data_dir_warns_not_raises(self, tmp_path):
         (tmp_path / "Data").mkdir()
-        assert load_dataset(tmp_path) == []
+        assert list(iter_user_archives(tmp_path)) == []
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(MissingRoot):
-            load_dataset(tmp_path / "nope")
+            list(iter_user_archives(tmp_path / "nope"))
 
     def test_malformed_plt_carries_path(self, tmp_path, caplog):
         # The bad file is quarantined with its path and line; the user's
@@ -271,7 +273,7 @@ class TestLoadDataset:
         self.write_user(tmp_path, "001")
         empty = tmp_path / "Data" / "001" / "Trajectory" / "empty.plt"
         empty.write_text(PLT_HEADER)
-        first, second = load_dataset(tmp_path)
+        first, second = list(iter_user_archives(tmp_path))
         assert first.quarantined == ()
         assert second.quarantined == (f"{empty}: no data lines after the 6-line header",)
         assert len(second.trajectories) == 1
@@ -293,8 +295,8 @@ class TestLoadDataset:
     def test_deterministic(self, tmp_path):
         for uid in ("000", "001", "002"):
             self.write_user(tmp_path, uid)
-        first = load_dataset(tmp_path)
-        second = load_dataset(tmp_path)
+        first = list(iter_user_archives(tmp_path))
+        second = list(iter_user_archives(tmp_path))
         assert first == second
 
 

@@ -102,8 +102,8 @@ def test_arbitrary_input_fails_only_as_the_line_parser_does(data):
 
 fixes = st.lists(
     st.tuples(
-        # Years 1000-9999: four-digit years, which the date field needs.
-        st.integers(-30_610_224_000, 253_402_300_799),
+        # Years 1-9999, every year that fits the four-digit date field.
+        st.integers(-62_135_596_800, 253_402_300_799),
         st.floats(-90.0, 90.0),
         st.floats(-180.0, 180.0),
     ),

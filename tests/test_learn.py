@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tripkin.features import FeatureRow, KinematicFeatures, FEATURE_NAMES, filter_users
+from tripkin.features import FEATURE_NAMES
 from tripkin.learn import (
     _binary_auc,
     ClassTooSmall,
@@ -26,6 +26,7 @@ from tripkin.learn import (
     weighted_random_baseline,
 )
 
+from helpers import feature_dataset
 from oracles import (
     accuracy_loop,
     binary_auc_pairwise,
@@ -385,15 +386,16 @@ class TestMetrics:
 
 
 def separable_dataset(n_per_user=40, seed=0):
-    """Five users with disjoint feature blobs, as FeatureRow records."""
+    """Five users with disjoint feature blobs."""
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, users = [], []
     for u, center in enumerate((2.0, 8.0, 16.0, 25.0, 35.0)):
         for _ in range(n_per_user):
-            values = dict(zip(FEATURE_NAMES, rng.normal(center, 0.2, size=len(FEATURE_NAMES))))
-            values["duration_s"] = abs(values["duration_s"]) + 1.0
-            rows.append(FeatureRow(f"{u:03d}", "walk", KinematicFeatures(**values)))
-    return filter_users(rows, min_trips=1)
+            values = rng.normal(center, 0.2, size=len(FEATURE_NAMES))
+            values[0] = abs(values[0]) + 1.0  # duration_s
+            rows.append(values)
+            users.append(f"{u:03d}")
+    return feature_dataset(rows, users)
 
 
 class TestRunClassification:
@@ -409,7 +411,7 @@ class TestRunClassification:
         for i, c in enumerate(report.class_order):
             # every row is tested exactly once across the folds
             assert report.confusion[i].sum() == report.class_trip_counts[c]
-        assignment = stratified_kfold(dataset.labels(), k=5, seed=3)
+        assignment = stratified_kfold(dataset.users, k=5, seed=3)
         pooled = 0.0
         for fold in range(5):
             n_fold = int((assignment.fold_of_row == fold).sum())
@@ -419,9 +421,9 @@ class TestRunClassification:
         )
 
     def test_class_order_by_descending_count(self):
-        rows = separable_dataset(n_per_user=31, seed=4).rows
-        extra = [FeatureRow("000", "walk", rows[0].features)] * 9
-        dataset = filter_users(list(rows) + extra, min_trips=1)
+        base = separable_dataset(n_per_user=31, seed=4)
+        extra = [base.rows[0]] * 9  # more trips of user "000"
+        dataset = feature_dataset([*base.rows, *extra], [*base.users, *["000"] * 9])
         report = run_classification(dataset, k=5, seed=5)
         counts = [report.class_trip_counts[c] for c in report.class_order]
         assert counts == sorted(counts, reverse=True)

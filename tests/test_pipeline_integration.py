@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 import pytest
 
 from tripkin.cli import main
-from tripkin.features import read_features_csv
+from tripkin.features import FEATURE_NAMES, read_features_csv
 from tripkin.geokinematics import EARTH_RADIUS_M
 
 BASE = int(datetime(2008, 10, 23, tzinfo=timezone.utc).timestamp())
@@ -102,9 +102,9 @@ def test_extract_counts_every_drop_stage(mini_root, tmp_path, capsys):
     # must have been cut, or their trips would stand out.
     mat = dataset.matrix()
     assert (mat == mat[0]).all()
-    feats = dataset.rows[0].features
-    assert feats.duration_s == 30.0
-    assert feats.mean_speed == pytest.approx(5.0, rel=1e-9)
+    feats = dict(zip(FEATURE_NAMES, dataset.rows[0].tolist()))
+    assert feats["duration_s"] == 30.0
+    assert feats["mean_speed"] == pytest.approx(5.0, rel=1e-9)
 
 
 def test_rerun_into_same_directory_is_identical(mini_root, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from tripkin.features import extract_features
 from tripkin.geokinematics import speed_sequence
-from tripkin.ingest import Trip, assemble_trips, load_dataset
+from tripkin.ingest import Trip, assemble_trips, iter_user_archives
 from tripkin.synth import (
     SyntheticCorpus,
     UserProfile,
@@ -12,6 +12,8 @@ from tripkin.synth import (
     load_profiles,
     write_corpus,
 )
+
+from helpers import features_of
 
 
 def profile(**overrides) -> UserProfile:
@@ -32,9 +34,9 @@ def profile(**overrides) -> UserProfile:
 class TestGenerateTrip:
     def test_constant_motion_round_trip(self):
         p = profile(speed_jitter=0.0, accel_scale=0.0, mean_cruise_speed=5.0)
-        feats = extract_features(generate_trip(p, seed=3))
-        assert feats.mean_speed == pytest.approx(5.0, rel=1e-6)
-        assert feats.std_speed == pytest.approx(0.0, abs=1e-6)
+        feats = features_of(generate_trip(p, seed=3))
+        assert feats["mean_speed"] == pytest.approx(5.0, rel=1e-6)
+        assert feats["std_speed"] == pytest.approx(0.0, abs=1e-6)
 
     def test_trips_satisfy_invariants(self):
         rng = np.random.default_rng(1)
@@ -65,7 +67,7 @@ class TestGenerateTrip:
         p = profile(points_per_trip=601, sampling_period=1.0, speed_jitter=1.0, accel_scale=0.5)
         fine = generate_trip(p, seed=11)
         coarse = Trip(fine.user_id, fine.modality, fine.points[::60])
-        assert extract_features(coarse).max_speed < extract_features(fine).max_speed
+        assert features_of(coarse)["max_speed"] < features_of(fine)["max_speed"]
 
     def test_separable_profiles_split_cleanly(self):
         from tripkin.learn import train_tree, predict_batch
@@ -73,7 +75,7 @@ class TestGenerateTrip:
         slow = profile(user_id="slow", mean_cruise_speed=5.0, speed_jitter=0.5, trips=20)
         fast = profile(user_id="fast", mean_cruise_speed=25.0, speed_jitter=0.5, trips=20)
         corpus = generate_corpus([slow, fast], seed=21)
-        X = np.vstack([extract_features(t).as_vector() for t in corpus.trips])
+        X = np.array([extract_features(t) for t in corpus.trips], dtype=float)
         y = [t.user_id for t in corpus.trips]
         tree = train_tree(X, y, max_depth=1)
         preds, _ = predict_batch(tree, X)
@@ -82,7 +84,7 @@ class TestGenerateTrip:
     def test_mean_speed_concentrates_on_cruise(self):
         p = profile(speed_jitter=0.3, accel_scale=0.05, trips=120)
         corpus = generate_corpus([p], seed=22)
-        means = [extract_features(t).mean_speed for t in corpus.trips]
+        means = [features_of(t)["mean_speed"] for t in corpus.trips]
         se = np.std(means) / np.sqrt(len(means))
         assert abs(np.mean(means) - p.mean_cruise_speed) < 3 * se + 1e-6
 
@@ -111,7 +113,7 @@ class TestSerialization:
         ]
         corpus = generate_corpus(profiles, seed=40)
         write_corpus(corpus, tmp_path)
-        archives = load_dataset(tmp_path)
+        archives = list(iter_user_archives(tmp_path))
         assert [a.user_id for a in archives] == ["000", "001"]
         reassembled = []
         for archive in archives:
