@@ -290,19 +290,18 @@ def run_anomaly_experiment(
                 )
             )
 
-    per_user_lof = {
-        u: float(np.mean([r.pr_auc_lof for r in results if r.user_id == u]))
-        for u in users
-    }
-    per_user_random = {
-        u: float(np.mean([r.pr_auc_random for r in results if r.user_id == u]))
-        for u in users
-    }
+    by_user: dict[str, list[TrialResult]] = {u: [] for u in users}
+    for r in results:
+        by_user[r.user_id].append(r)
     summary = ExperimentSummary(
         n_trials=len(results),
         lof=ScoreSummary.of([r.pr_auc_lof for r in results]),
         random=ScoreSummary.of([r.pr_auc_random for r in results]),
-        per_user_mean_lof=per_user_lof,
-        per_user_mean_random=per_user_random,
+        per_user_mean_lof={
+            u: float(np.mean([r.pr_auc_lof for r in rs])) for u, rs in by_user.items()
+        },
+        per_user_mean_random={
+            u: float(np.mean([r.pr_auc_random for r in rs])) for u, rs in by_user.items()
+        },
     )
     return results, summary

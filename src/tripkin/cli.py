@@ -1,7 +1,8 @@
 """Command-line pipeline: extract, classify, anomaly, synth.
 
-Every subcommand is deterministic given its inputs and --seed, and all
-output files are written atomically (temp file, then rename). Defaults
+Every subcommand is deterministic given its inputs and --seed. The
+command reports and features.csv are written atomically (temp file, then
+rename); synth writes its corpus files in place. Defaults
 carry the experiment constants (5 folds, 30-trip minimum, 1.5 IQR
 fences, 3% injection rate, 10 trials per user, LOF k=20); flags override
 an optional JSON config file, which overrides the defaults.

@@ -24,6 +24,10 @@ import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
+# 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z in epoch seconds: the
+# range the four-digit years of the PLT and labels.txt formats can write.
+_T_MIN, _T_MAX = -62_135_596_800, 253_402_300_799
+
 
 class TooFewPoints(ValueError):
     """Input sequence is too short for the requested computation."""
@@ -46,8 +50,9 @@ class Track:
 
     The columns are read-only, equally long 1-D arrays; ``len`` is the
     number of fixes and slicing returns a Track of views. Timestamps must
-    be whole seconds and coordinates inside [-90, 90] x [-180, 180]; the
-    order of the fixes is not checked here (see ``ingest.Trip``).
+    be whole seconds in years 1-9999 and coordinates inside
+    [-90, 90] x [-180, 180]; the order of the fixes is not checked here
+    (see ``ingest.Trip``).
     """
 
     __slots__ = ("t", "lat", "lon")
@@ -58,6 +63,10 @@ class Track:
             t = _column(raw, np.int64)
         if not np.array_equal(t, raw):
             raise ValueError("timestamps must be finite whole seconds")
+        if not np.all((t >= _T_MIN) & (t <= _T_MAX)):
+            raise ValueError(
+                "timestamps out of range [0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z]"
+            )
         lat = _column(lat, np.float64)
         lon = _column(lon, np.float64)
         if not len(t) == len(lat) == len(lon):

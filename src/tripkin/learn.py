@@ -3,11 +3,14 @@
 The tree is plain CART with Gini impurity: at each node the split
 minimizing the size-weighted child impurity is chosen among midpoints
 between consecutive distinct sorted values of each feature, with ties
-broken by lowest feature index, then lowest threshold. Rows with
-x[feature] <= threshold route left. Class probabilities come from leaf
-class counts, and the canonical class order everywhere is descending
-training count, then lexicographic id; argmax ties resolve to the
-earlier class in that order.
+broken by lowest feature index, then lowest threshold. A tree is Split
+nodes (feature index, threshold, left and right child) over Leaf nodes,
+and each leaf holds an int vector of its training rows per class, in the
+tree's canonical class order: descending training count, then
+lexicographic id. predict_batch walks each row, as Python floats, from
+the root (x[feature] <= threshold routes left) to a leaf; its
+probabilities are the leaf's counts over their sum, and argmax ties
+resolve to the earlier class in that order.
 
 Each node scores all of its features in one vectorized pass: one stable
 argsort of the node's rows per column, an int32 (features, rows, classes)
@@ -29,6 +32,7 @@ built with np.bincount over class codes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +59,7 @@ _BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class Leaf:
-    class_counts: dict[str, int]
+    class_counts: np.ndarray  # training rows per class, in DecisionTree.classes order
 
 
 @dataclass
@@ -85,12 +89,13 @@ class FoldAssignment:
     k: int
 
 
+def _ranked(histogram) -> tuple[str, ...]:
+    return tuple(sorted(histogram, key=lambda c: (-histogram[c], c)))
+
+
 def class_order(labels) -> tuple[str, ...]:
     """Classes sorted by descending count, then lexicographic id."""
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    return tuple(sorted(counts, key=lambda c: (-counts[c], c)))
+    return _ranked(Counter(labels))
 
 
 def stratified_kfold(labels, k: int = 5, seed: int = 0) -> FoldAssignment:
@@ -109,14 +114,6 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0) -> FoldAssignment:
         rng.shuffle(idx)
         fold[idx] = np.arange(len(idx)) % k
     return FoldAssignment(fold_of_row=fold, k=k)
-
-
-def _leaf(y: np.ndarray, classes: tuple[str, ...]) -> Leaf:
-    counts: dict[str, int] = {}
-    for code in y:
-        name = classes[code]
-        counts[name] = counts.get(name, 0) + 1
-    return Leaf(class_counts=counts)
 
 
 def _gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -199,18 +196,17 @@ def train_tree(
         node: TreeNode
         pure = bool((yn == yn[0]).all())
         at_depth = max_depth is not None and depth >= max_depth
-        if pure or at_depth or len(yn) < min_samples_split:
-            node = _leaf(yn, classes)
-        else:
+        best = None
+        if not (pure or at_depth or len(yn) < min_samples_split):
             best = _best_split(Xn, yn, len(classes))
-            if best is None:
-                node = _leaf(yn, classes)
-            else:
-                _, f, thr = best
-                node = Split(feature_index=f, threshold=thr)
-                mask = Xn[:, f] <= thr
-                stack.append((Xn[mask], yn[mask], depth + 1, node, "left"))
-                stack.append((Xn[~mask], yn[~mask], depth + 1, node, "right"))
+        if best is None:
+            node = Leaf(np.bincount(yn, minlength=len(classes)))
+        else:
+            _, f, thr = best
+            node = Split(feature_index=f, threshold=thr)
+            mask = Xn[:, f] <= thr
+            stack.append((Xn[mask], yn[mask], depth + 1, node, "left"))
+            stack.append((Xn[~mask], yn[~mask], depth + 1, node, "right"))
         if parent is None:
             root = node
         elif side == "left":
@@ -221,34 +217,22 @@ def train_tree(
     return DecisionTree(root=root, classes=classes)
 
 
-def predict(tree: DecisionTree, x) -> tuple[str, np.ndarray]:
-    """Route one vector to its leaf; returns (label, probabilities).
-
-    The probability vector is the leaf's class counts normalized, indexed
-    by tree.classes; the label is the argmax with ties resolved to the
-    class earliest in that canonical order.
-    """
-    x = np.asarray(x, dtype=float)
-    node = tree.root
-    while isinstance(node, Split):
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    total = sum(node.class_counts.values())
-    probs = np.array(
-        [node.class_counts.get(c, 0) / total for c in tree.classes]
-    )
-    return tree.classes[int(np.argmax(probs))], probs
-
-
 def predict_batch(tree: DecisionTree, X) -> tuple[list[str], np.ndarray]:
-    """predict() over the rows of X; probabilities stack to (n, n_classes)."""
-    X = np.asarray(X, dtype=float)
-    labels: list[str] = []
-    probs = np.empty((len(X), len(tree.classes)))
-    for i, x in enumerate(X):
-        lab, p = predict(tree, x)
-        labels.append(lab)
-        probs[i] = p
-    return labels, probs
+    """Route each row of X to its leaf; returns (labels, probabilities).
+
+    Row i of the (n, n_classes) probability matrix is its leaf's class
+    counts normalized, indexed by tree.classes; label i is the argmax,
+    with ties resolved to the class earliest in that canonical order.
+    """
+    rows = np.asarray(X, dtype=float).tolist()
+    counts = np.empty((len(rows), len(tree.classes)), dtype=np.int64)
+    for i, x in enumerate(rows):
+        node = tree.root
+        while isinstance(node, Split):
+            node = node.left if x[node.feature_index] <= node.threshold else node.right
+        counts[i] = node.class_counts
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    return [tree.classes[i] for i in probs.argmax(axis=1).tolist()], probs
 
 
 def weighted_random_baseline(
@@ -259,9 +243,7 @@ def weighted_random_baseline(
     Every row's probability vector is the training distribution itself.
     Returns (predicted labels, probability matrix, class order).
     """
-    classes = tuple(
-        sorted(train_label_histogram, key=lambda c: (-train_label_histogram[c], c))
-    )
+    classes = _ranked(train_label_histogram)
     total = sum(train_label_histogram.values())
     p = np.array([train_label_histogram[c] / total for c in classes])
     rng = np.random.default_rng(seed)
@@ -469,37 +451,21 @@ def run_classification(
 
     for fold in range(k):
         test = assignment.fold_of_row == fold
-        train = ~test
-        X_train, y_train = X[train], list(y[train])
-        X_test, y_test = X[test], list(y[test])
-
-        tree = train_tree(X_train, y_train, max_depth=max_depth)
-        pred, probs = predict_batch(tree, X_test)
-        tree_scores.per_fold_accuracy.append(accuracy(y_test, pred))
-        tree_scores.per_fold_macro_f1.append(macro_f1(y_test, pred, tree.classes))
-        tree_scores.per_fold_roc_auc.append(roc_auc_ovr_macro(y_test, probs, tree.classes))
+        y_train, y_test = list(y[~test]), list(y[test])
+        tree = train_tree(X[~test], y_train, max_depth=max_depth)
+        pred, probs = predict_batch(tree, X[test])
         confusion += confusion_matrix(y_test, pred, order)
-
-        hist: dict[str, int] = {}
-        for lab in y_train:
-            hist[lab] = hist.get(lab, 0) + 1
-        w_pred, w_probs, w_classes = weighted_random_baseline(
-            hist, len(y_test), seed=_derive_seed(seed, fold, 1)
-        )
-        weighted_scores.per_fold_accuracy.append(accuracy(y_test, w_pred))
-        weighted_scores.per_fold_macro_f1.append(macro_f1(y_test, w_pred, w_classes))
-        weighted_scores.per_fold_roc_auc.append(
-            roc_auc_ovr_macro(y_test, w_probs, w_classes)
-        )
-
-        u_pred, u_probs, u_classes = uniform_random_baseline(
-            sorted(set(y_train)), len(y_test), seed=_derive_seed(seed, fold, 2)
-        )
-        uniform_scores.per_fold_accuracy.append(accuracy(y_test, u_pred))
-        uniform_scores.per_fold_macro_f1.append(macro_f1(y_test, u_pred, u_classes))
-        uniform_scores.per_fold_roc_auc.append(
-            roc_auc_ovr_macro(y_test, u_probs, u_classes)
-        )
+        hist = Counter(y_train)
+        for scores, (pred, probs, classes) in (
+            (tree_scores, (pred, probs, tree.classes)),
+            (weighted_scores, weighted_random_baseline(
+                hist, len(y_test), seed=_derive_seed(seed, fold, 1))),
+            (uniform_scores, uniform_random_baseline(
+                sorted(hist), len(y_test), seed=_derive_seed(seed, fold, 2))),
+        ):
+            scores.per_fold_accuracy.append(accuracy(y_test, pred))
+            scores.per_fold_macro_f1.append(macro_f1(y_test, pred, classes))
+            scores.per_fold_roc_auc.append(roc_auc_ovr_macro(y_test, probs, classes))
 
     row_sums = confusion.sum(axis=1)
     col_sums = confusion.sum(axis=0)

@@ -275,7 +275,7 @@ def _leaf_per_feature(y, classes):
     for code in y:
         name = classes[code]
         counts[name] = counts.get(name, 0) + 1
-    return Leaf(class_counts=counts)
+    return Leaf(class_counts=np.array([counts.get(c, 0) for c in classes]))
 
 
 def _best_split_per_feature(X, y, n_classes):
@@ -355,6 +355,23 @@ def cart_tree_per_feature(X, labels, max_depth=None, min_samples_split=2):
             parent.right = node
     assert root is not None
     return DecisionTree(root=root, classes=classes)
+
+
+def predict_rowwise(tree, x):
+    """Route one vector to its leaf; returns (label, probabilities).
+
+    The former learn.predict: one row at a time on numpy floats, each
+    probability a Python int division of a leaf count by the leaf total,
+    the label the first class with the highest probability.
+    """
+    x = np.asarray(x, dtype=float)
+    node = tree.root
+    while isinstance(node, Split):
+        node = node.left if x[node.feature_index] <= node.threshold else node.right
+    counts = [int(c) for c in node.class_counts]
+    total = sum(counts)
+    probs = np.array([c / total for c in counts])
+    return tree.classes[int(np.argmax(probs))], probs
 
 
 def accuracy_loop(y_true, y_pred) -> float:

@@ -38,6 +38,11 @@ class TestTrack:
             Track([math.nan], [0.0], [0.0])
         with pytest.raises(ValueError):
             Track([0.5], [0.0], [0.0])  # whole seconds only
+        # Years 1-9999, the range the PLT and labels.txt dates can hold.
+        Track([-62_135_596_800, 253_402_300_799], [0.0, 0.0], [0.0, 0.0])
+        for t in (-62_135_596_801, 253_402_300_800):
+            with pytest.raises(ValueError, match="0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z"):
+                Track([t], [0.0], [0.0])
         with pytest.raises(ValueError):
             Track([0, 1], [0.0], [0.0, 0.0])
 

@@ -16,7 +16,6 @@ from tripkin.learn import (
     class_order,
     confusion_matrix,
     macro_f1,
-    predict,
     predict_batch,
     roc_auc_ovr_macro,
     run_classification,
@@ -33,6 +32,7 @@ from oracles import (
     cart_tree_per_feature,
     macro_f1_confusion,
     macro_f1_loop,
+    predict_rowwise,
     roc_auc_ovr_macro_pairwise,
 )
 
@@ -89,7 +89,7 @@ class TestTrainTree:
         y = ["a", "b", "a", "a"]
         tree = train_tree(X, y)
         assert isinstance(tree.root, Leaf)
-        label, probs = predict(tree, [1.0, 1.0, 1.0])
+        (label,), (probs,) = predict_batch(tree, [[1.0, 1.0, 1.0]])
         assert label == "a"
         assert probs == pytest.approx([0.75, 0.25])
 
@@ -158,7 +158,7 @@ class TestTrainTree:
 def same_node(a, b) -> bool:
     """Equal structure, feature indices, threshold bits and leaf counts."""
     if isinstance(a, Leaf):
-        return isinstance(b, Leaf) and list(a.class_counts.items()) == list(b.class_counts.items())
+        return isinstance(b, Leaf) and a.class_counts.tolist() == b.class_counts.tolist()
     return (
         isinstance(b, Split)
         and a.feature_index == b.feature_index
@@ -166,6 +166,12 @@ def same_node(a, b) -> bool:
         and same_node(a.left, b.left)
         and same_node(a.right, b.right)
     )
+
+
+def thresholds(node) -> list[float]:
+    if isinstance(node, Leaf):
+        return []
+    return [node.threshold, *thresholds(node.left), *thresholds(node.right)]
 
 
 def oracle_case(rng, case):
@@ -198,11 +204,18 @@ class TestTreeMatchesPerFeatureOracle:
             want = cart_tree_per_feature(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
             assert got.classes == want.classes, case
             assert same_node(got.root, want.root), case
-            probe = np.vstack([X, rng.normal(size=(5, X.shape[1]))])
+            # Rows lying exactly on each split's threshold check the <= side.
+            on_cuts = np.repeat(np.array(thresholds(got.root)).reshape(-1, 1), X.shape[1], axis=1)
+            probe = np.vstack([X, rng.normal(size=(5, X.shape[1])), on_cuts])
             got_labels, got_probs = predict_batch(got, probe)
             want_labels, want_probs = predict_batch(want, probe)
             assert got_labels == want_labels, case
             assert np.array_equal(got_probs, want_probs), case
+            rowwise = [predict_rowwise(got, x) for x in probe]
+            assert got_labels == [label for label, _ in rowwise], case
+            assert got_probs.tobytes() == np.array([p for _, p in rowwise]).tobytes(), case
+            no_labels, no_probs = predict_batch(got, probe[:0])
+            assert no_labels == [] and no_probs.shape == (0, len(got.classes)), case
 
     def test_blocked_and_single_feature_nodes_identical(self):
         # 1,500 rows x 26 classes puts the root above the block size (one
@@ -229,19 +242,19 @@ class TestTreeMatchesPerFeatureOracle:
 
 class TestPredict:
     def test_leaf_probabilities(self):
-        tree = DecisionTree(root=Leaf({"A": 3, "B": 1}), classes=("A", "B"))
-        label, probs = predict(tree, np.zeros(10))
+        tree = DecisionTree(root=Leaf(np.array([3, 1])), classes=("A", "B"))
+        (label,), (probs,) = predict_batch(tree, np.zeros((1, 10)))
         assert label == "A"
         assert probs == pytest.approx([0.75, 0.25])
 
     def test_pure_leaf(self):
-        tree = DecisionTree(root=Leaf({"A": 5}), classes=("A", "B"))
-        _, probs = predict(tree, np.zeros(10))
+        tree = DecisionTree(root=Leaf(np.array([5, 0])), classes=("A", "B"))
+        _, (probs,) = predict_batch(tree, np.zeros((1, 10)))
         assert probs == pytest.approx([1.0, 0.0])
 
     def test_tie_breaks_by_class_order(self):
-        tree = DecisionTree(root=Leaf({"B": 2, "A": 2}), classes=("A", "B"))
-        label, _ = predict(tree, np.zeros(10))
+        tree = DecisionTree(root=Leaf(np.array([2, 2])), classes=("A", "B"))
+        (label,), _ = predict_batch(tree, np.zeros((1, 10)))
         assert label == "A"
         # Class order itself is descending count, then lexicographic.
         assert class_order(["B", "B", "A", "A", "C"]) == ("A", "B", "C")
