@@ -26,7 +26,8 @@ EARTH_RADIUS_M = 6_371_000.0
 
 # 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z in epoch seconds: the
 # range the four-digit years of the PLT and labels.txt formats can write.
-_T_MIN, _T_MAX = -62_135_596_800, 253_402_300_799
+T_MIN, T_MAX = -62_135_596_800, 253_402_300_799
+T_RANGE = "[0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z]"
 
 
 class TooFewPoints(ValueError):
@@ -63,10 +64,8 @@ class Track:
             t = _column(raw, np.int64)
         if not np.array_equal(t, raw):
             raise ValueError("timestamps must be finite whole seconds")
-        if not np.all((t >= _T_MIN) & (t <= _T_MAX)):
-            raise ValueError(
-                "timestamps out of range [0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z]"
-            )
+        if not np.all((t >= T_MIN) & (t <= T_MAX)):
+            raise ValueError(f"timestamps out of range {T_RANGE}")
         lat = _column(lat, np.float64)
         lon = _column(lon, np.float64)
         if not len(t) == len(lat) == len(lon):

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .geokinematics import Track
+from .geokinematics import T_MAX, T_MIN, T_RANGE, Track
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +67,10 @@ class MissingRoot(FileNotFoundError):
 
 @dataclass(frozen=True, slots=True)
 class TripLabel:
-    """One labeled trip interval: [start_time, end_time] plus a modality token."""
+    """One labeled trip interval: [start_time, end_time] plus a modality token.
+
+    Both times must lie in years 1-9999, the range labels.txt can hold.
+    """
 
     start_time: float
     end_time: float
@@ -78,6 +81,8 @@ class TripLabel:
             raise ValueError(
                 f"label start {self.start_time!r} must precede end {self.end_time!r}"
             )
+        if not (T_MIN <= self.start_time and self.end_time <= T_MAX):
+            raise ValueError(f"label times out of range {T_RANGE}")
 
 
 @dataclass(frozen=True)

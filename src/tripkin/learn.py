@@ -12,17 +12,22 @@ the root (x[feature] <= threshold routes left) to a leaf; its
 probabilities are the leaf's counts over their sum, and argmax ties
 resolve to the earlier class in that order.
 
-Each node scores all of its features in one vectorized pass: one stable
-argsort of the node's rows per column, an int32 (features, rows, classes)
-array of running class counts, and the weighted Gini of every candidate
-cut, with cuts between equal values set to inf before one feature-major
-argmin. Features go through in blocks of at most _BLOCK count elements,
-so a large node is scored one feature at a time and its memory stays
-bounded, while the many small nodes are scored all at once. Every node
-keeps the full class axis, absent classes included, and Gini is computed
-as 1 - sum((count / n) ** 2) over it: the sum adds one term per training
+The tree grows one depth at a time over presorted columns (after SLIQ,
+Mehta, Agrawal & Rissanen 1996, and SPRINT, Shafer, Agrawal & Mehta
+1996). One stable argsort per fit orders every column's rows by value,
+then original row. Each depth keeps, per feature, its nodes' rows as
+consecutive segments in that order; a stable partition by child node
+carries the order to the next depth, so no node sorts again. All cuts of
+all nodes of a depth are scored together: int32 running class counts
+down each feature's segments, the weighted Gini of every cut between
+distinct values, and per node the first minimum in (feature, cut) order.
+Nodes go through in blocks of at most _BLOCK count elements, so memory
+stays bounded: a large node is scored a few features at a time, while
+many small nodes share one pass. Every node keeps the full class axis,
+absent classes included, and Gini is computed as
+1 - sum((count / n) ** 2) over it: the sum adds one term per training
 class in the same order at every node, so splits, thresholds and reports
-stay bit for bit those of the former one-feature-at-a-time scorer.
+stay bit for bit those of the former one-node-at-a-time scorers.
 Dropping absent classes or rewriting Gini as sum(count ** 2) / n ** 2
 regroups that float sum and can move a near-tie between two cuts.
 
@@ -50,10 +55,11 @@ class UndefinedMetric(ValueError):
     """The metric has no defined value on this input."""
 
 
-# Elements of the (features, rows, classes) count array one _best_split
-# block may hold. It bounds the scorer's memory: a node with more than
-# _BLOCK rows x classes (e.g. 1,470 x 26) is scored one feature at a time,
-# while the many small nodes below it score every feature in one pass.
+# Elements of the (features, positions, classes) count array one scoring
+# block of train_tree may hold. It bounds the scorer's memory: a node with
+# more than _BLOCK rows x classes (e.g. 1,470 x 26) is scored one feature
+# at a time, while many small nodes of one depth score every feature in
+# one pass.
 _BLOCK = 1 << 15
 
 
@@ -123,96 +129,159 @@ def _gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
     return 1.0 - share.sum(axis=-1)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int):
-    """Lowest-weighted-Gini (feature, threshold), or None if X has no spread.
-
-    Candidate cuts of a block of features are scored together and flattened
-    feature-major, so the first minimum is at the lowest feature, then the
-    lowest threshold; a later block replaces the best only by a strict
-    improvement, which keeps that tie-break across blocks.
-    """
-    n, n_features = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    sx = np.take_along_axis(X, order, axis=0)
-    valid = (sx[1:] > sx[:-1]).T  # (features, n - 1): cut after sorted row i
-    left_n = np.arange(1, n, dtype=float)
-    right_n = n - left_n
-    block = max(1, _BLOCK // (n * n_classes))
-    best = None
-    for f0 in range(0, n_features, block):
-        f1 = min(f0 + block, n_features)
-        if not valid[f0:f1].any():
-            continue
-        # One-hot class of each sorted row, then running counts down the rows.
-        counts = np.zeros((f1 - f0, n, n_classes), dtype=np.int32)
-        hot = np.arange((f1 - f0) * n).reshape(f1 - f0, n) * n_classes + y[order[:, f0:f1]].T
-        counts.reshape(-1)[hot.ravel()] = 1
-        np.cumsum(counts, axis=1, out=counts)
-        left_counts = counts[:, :-1]
-        gini_left = _gini(left_counts, left_n)
-        gini_right = _gini(counts[:, -1:] - left_counts, right_n)
-        weighted = (left_n * gini_left + right_n * gini_right) / n
-        weighted[~valid[f0:f1]] = np.inf
-        i = int(np.argmin(weighted))
-        f, c = divmod(i, n - 1)
-        if best is None or weighted[f, c] < best[0]:
-            lo, hi = sx[c, f0 + f], sx[c + 1, f0 + f]
-            thr = (lo + hi) / 2.0
-            if not lo <= thr < hi:  # midpoint rounded onto hi; fall back to lo
-                thr = lo
-            best = (float(weighted[f, c]), f0 + f, float(thr))
-    return best
-
-
 def train_tree(
     X,
     labels,
     max_depth: int | None = None,
     min_samples_split: int = 2,
 ) -> DecisionTree:
-    """Grow an unpruned CART tree.
+    """Grow an unpruned CART tree, one depth at a time.
 
     Growth stops at pure nodes, nodes below min_samples_split, nodes at
     max_depth (None = unlimited), and nodes whose rows are identical on
     every feature (which become mixed-count leaves).
 
     Raises:
+        ValueError: X is not 2-D, has a non-finite value, or its row
+            count differs from the number of labels.
         EmptyTrainingSet: no rows.
     """
     X = np.asarray(X, dtype=float)
     labels = list(labels)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if len(X) != len(labels):
+        raise ValueError(f"X has {len(X)} rows but there are {len(labels)} labels")
     if len(labels) == 0:
         raise EmptyTrainingSet("no training rows")
+    if not np.isfinite(X).all():
+        raise ValueError("X holds a non-finite value")
     classes = class_order(labels)
+    n_classes = len(classes)
     code_of = {c: i for i, c in enumerate(classes)}
     y = np.array([code_of[lab] for lab in labels])
+    n, n_features = X.shape
 
+    def grows(counts: np.ndarray, depth: int) -> np.ndarray:
+        """Which nodes, given their (nodes, classes) counts, are split further."""
+        if max_depth is not None and depth >= max_depth:
+            return np.zeros(len(counts), dtype=bool)
+        return (np.count_nonzero(counts, axis=1) > 1) & (counts.sum(axis=1) >= min_samples_split)
+
+    node_counts = np.bincount(y, minlength=n_classes)[None]
+    if not (n_features and grows(node_counts, 0)[0]):
+        return DecisionTree(root=Leaf(node_counts[0]), classes=classes)
+
+    # The level's nodes hold consecutive segments of perm's columns; row f
+    # lists each node's rows by feature f's value, then original row.
+    XT = X.T
+    perm = np.argsort(XT, axis=1, kind="stable").astype(np.int32)  # int32 to save memory
+    feat = np.arange(n_features)[:, None]  # row index of per-feature gathers
+    slots: list[tuple[Split | None, bool]] = [(None, True)]  # (parent, is left child)
     root: TreeNode | None = None
-    stack: list[tuple[np.ndarray, np.ndarray, int, Split | None, str]] = [
-        (X, y, 0, None, "left")
-    ]
-    while stack:
-        Xn, yn, depth, parent, side = stack.pop()
-        node: TreeNode
-        pure = bool((yn == yn[0]).all())
-        at_depth = max_depth is not None and depth >= max_depth
-        best = None
-        if not (pure or at_depth or len(yn) < min_samples_split):
-            best = _best_split(Xn, yn, len(classes))
-        if best is None:
-            node = Leaf(np.bincount(yn, minlength=len(classes)))
-        else:
-            _, f, thr = best
-            node = Split(feature_index=f, threshold=thr)
-            mask = Xn[:, f] <= thr
-            stack.append((Xn[mask], yn[mask], depth + 1, node, "left"))
-            stack.append((Xn[~mask], yn[~mask], depth + 1, node, "right"))
-        if parent is None:
-            root = node
-        elif side == "left":
-            parent.left = node
-        else:
-            parent.right = node
+    depth = 0
+    while slots:
+        size = node_counts.sum(axis=1)
+        ends = np.cumsum(size)
+        start = ends - size
+        seg = np.repeat(np.arange(len(size)), size)  # node of each position
+        cut = np.flatnonzero(seg[1:] == seg[:-1])  # positions a left block can end at
+        sv = XT[feat, perm]
+        valid = sv[:, cut] < sv[:, cut + 1]
+        del sv  # the sorted values are not needed while the cuts are scored
+
+        # Weighted Gini of every cut of every feature, scored in blocks of
+        # whole nodes of at most `cap` positions, so a block's count array
+        # for all features stays within _BLOCK elements; a larger node
+        # alone goes through a few features at a time.
+        totals = node_counts.astype(np.int32)  # class counts of each node
+        weighted = np.full(valid.shape, np.inf)
+        cap = max(1, _BLOCK // (n_classes * n_features))
+        k0 = 0
+        while k0 < len(size):
+            k1 = max(k0 + 1, int(np.searchsorted(ends, start[k0] + cap, side="right")))
+            p0, p1, c0, c1 = start[k0], ends[k1 - 1], start[k0] - k0, ends[k1 - 1] - k1
+            kc = seg[cut[c0:c1]]  # node of each of the block's cuts
+            left_n = (cut[c0:c1] - start[kc] + 1).astype(float)
+            right_n = size[kc] - left_n
+            block = max(1, _BLOCK // ((p1 - p0) * n_classes))
+            for f0 in range(0, n_features, block):
+                f1 = min(f0 + block, n_features)
+                if not valid[f0:f1, c0:c1].any():
+                    continue
+                # Running class counts down every feature's positions. At
+                # each segment start the previous segment's totals are taken
+                # off, so the sums restart at every node.
+                counts = np.zeros((f1 - f0, p1 - p0, n_classes), dtype=np.int32)
+                at = np.arange(p1 - p0) + (p1 - p0) * np.arange(f1 - f0)[:, None]
+                counts.reshape(-1)[(at * n_classes + y[perm[f0:f1, p0:p1]]).ravel()] = 1
+                counts[:, start[k0 + 1 : k1] - p0] -= totals[k0 : k1 - 1]
+                counts[1:, 0] -= totals[k1 - 1]
+                np.cumsum(counts.reshape(-1, n_classes), axis=0, out=counts.reshape(-1, n_classes))
+                left = np.take(counts, cut[c0:c1] - p0, axis=1)
+                w = weighted[f0:f1, c0:c1]
+                w[:] = left_n * _gini(left, left_n)
+                w += right_n * _gini(np.subtract(totals[kc], left, out=left), right_n)
+                w /= size[kc]
+            k0 = k1
+        weighted[~valid] = np.inf
+
+        # Per node, the first minimum in (feature, cut) order.
+        first_cut = start - np.arange(len(size))
+        low_f = np.minimum.reduceat(weighted, first_cut, axis=1)
+        low = low_f.min(axis=0)
+        best_f = (low_f == low).argmax(axis=0)
+        kc = seg[cut]
+        hit = np.flatnonzero(weighted[best_f[kc], np.arange(len(cut))] == low[kc])
+        best_p = cut[hit[np.searchsorted(hit, first_cut)]]
+        split = low < np.inf
+        lo, hi = XT[best_f, perm[best_f, best_p]], XT[best_f, perm[best_f, best_p + 1]]
+        thr = (lo + hi) / 2.0
+        thr = np.where((lo <= thr) & (thr < hi), thr, lo)  # midpoint rounded onto hi: lo
+        # Each split node's rows in its split feature's order: the left child
+        # takes positions up to best_p, which are exactly x[feature] <= thr.
+        n_split = int(split.sum())
+        pos = np.arange(len(seg))
+        rows = perm[best_f[seg], pos]
+        child = np.where(split[seg], 2 * (np.cumsum(split) - 1)[seg] + (pos > best_p[seg]), 2 * n_split)
+        child_counts = np.bincount(
+            child * n_classes + y[rows], minlength=(2 * n_split + 1) * n_classes
+        ).reshape(-1, n_classes)[:-1]
+        child_grows = grows(child_counts, depth + 1)
+
+        next_slots: list[tuple[Split | None, bool]] = []
+        # Children come left, then right; leaves copy their counts rather
+        # than keep the level's whole count array alive.
+        sides = iter(zip(child_counts, child_grows.tolist()))
+        for (parent, is_left), counts_k, f, t, splits in zip(
+            slots, node_counts, best_f.tolist(), thr.tolist(), split.tolist()
+        ):
+            node: TreeNode
+            if splits:
+                children = (next(sides), next(sides))
+                node = Split(f, t, *(None if g else Leaf(c.copy()) for c, g in children))
+                next_slots += [(node, side) for side, (_, g) in zip((True, False), children) if g]
+            else:
+                node = Leaf(counts_k.copy())
+            if parent is None:
+                root = node
+            elif is_left:
+                parent.left = node
+            else:
+                parent.right = node
+
+        # Stable partition of every feature's row list by next-level node;
+        # rows of leaves sort last and are cut off.
+        n_next = len(next_slots)
+        ids = np.full(2 * n_split + 1, n_next, dtype=np.min_scalar_type(n_next))  # radix-sortable
+        ids[:-1][child_grows] = np.arange(n_next)
+        next_of_row = np.empty(n, dtype=ids.dtype)
+        next_of_row[rows] = ids[child]
+        node_counts = child_counts[child_grows]
+        keep = np.argsort(next_of_row[perm], axis=1, kind="stable")[:, : node_counts.sum()]
+        perm = perm[feat, keep]
+        slots = next_slots
+        depth += 1
     assert root is not None
     return DecisionTree(root=root, classes=classes)
 

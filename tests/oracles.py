@@ -317,9 +317,9 @@ def _best_split_per_feature(X, y, n_classes):
 def cart_tree_per_feature(X, labels, max_depth=None, min_samples_split=2):
     """The former learn.train_tree, which scored one feature at a time.
 
-    Kept verbatim as the reference for the blocked all-feature scorer:
-    both use the same per-candidate float expressions over the full class
-    axis, so trees must match node for node, thresholds bit for bit.
+    Kept verbatim as the reference for the level-synchronous grower: both
+    use the same per-candidate float expressions over the full class axis,
+    so trees must match node for node, thresholds bit for bit.
     """
     X = np.asarray(X, dtype=float)
     labels = list(labels)

@@ -162,6 +162,26 @@ class TestParseLabels:
         assert parse_labels(format_labels(labels)) == (labels, 0)
 
 
+class TestTripLabel:
+    # 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z in epoch seconds.
+    FIRST, LAST = -62_135_596_800, 253_402_300_799
+
+    def test_accepts_the_writable_range_edges(self):
+        labels = [
+            TripLabel(self.FIRST, self.FIRST + 60, "walk"),
+            TripLabel(self.LAST - 60, self.LAST, "bus"),
+        ]
+        text = format_labels(labels)
+        assert "0001/01/01 00:00:00\t0001/01/01 00:01:00\twalk" in text
+        assert "9999/12/31 23:58:59\t9999/12/31 23:59:59\tbus" in text
+        assert parse_labels(text) == (labels, 0)
+
+    def test_rejects_one_second_beyond_either_edge(self):
+        for start, end in ((self.FIRST - 1, self.FIRST + 60), (self.LAST - 60, self.LAST + 1)):
+            with pytest.raises(ValueError, match=r"\[0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z\]"):
+                TripLabel(start, end, "walk")
+
+
 def track(*times: int) -> Track:
     return Track(times, [39.9] * len(times), [116.3 + t * 1e-6 for t in times])
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tripkin import learn
 from tripkin.features import FEATURE_NAMES
 from tripkin.learn import (
     _binary_auc,
@@ -115,6 +116,38 @@ class TestTrainTree:
         with pytest.raises(EmptyTrainingSet):
             train_tree(np.empty((0, 10)), [])
 
+    def test_rejects_malformed_input(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            train_tree(np.zeros(4), ["a", "b", "a", "b"])
+        with pytest.raises(ValueError, match="3 rows but there are 4 labels"):
+            train_tree(np.zeros((3, 2)), ["a", "b", "a", "b"])
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.zeros((3, 2))
+            X[1, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                train_tree(X, ["a", "b", "a"])
+
+    def test_one_depth_mixes_every_stop_condition(self, monkeypatch):
+        # At depth 2: a pure node, an impure node below min_samples_split,
+        # an impure node of identical rows, and a split whose children are
+        # leaves because of max_depth.
+        f0 = [0, 1, 2, 3, 10, 11, 60, 60, 60, 70, 71, 72, 73, 74, 75]
+        X = np.column_stack([f0, np.zeros(len(f0))])
+        y = list("aaaaba" "cdc" "efefef")
+        for block in (learn._BLOCK, 1):
+            monkeypatch.setattr(learn, "_BLOCK", block)
+            tree = train_tree(X, y, max_depth=3, min_samples_split=3)
+            want = cart_tree_per_feature(X, y, max_depth=3, min_samples_split=3)
+            assert same_node(tree.root, want.root)
+            assert tree.classes == ("a", "e", "f", "c", "b", "d")
+            pure, small = tree.root.left.left, tree.root.left.right
+            same_rows, capped = tree.root.right.left, tree.root.right.right
+            assert pure.class_counts.tolist() == [4, 0, 0, 0, 0, 0]
+            assert small.class_counts.tolist() == [1, 0, 0, 0, 1, 0]
+            assert same_rows.class_counts.tolist() == [0, 0, 0, 2, 0, 1]
+            assert (capped.feature_index, capped.threshold) == (0, 70.5)
+            assert capped.right.class_counts.tolist() == [0, 2, 3, 0, 0, 0]
+
     def test_tied_splits_prefer_lowest_feature_then_threshold(self):
         # Columns 1 and 2 both separate the labels perfectly; column 1 wins.
         X = np.array(
@@ -168,6 +201,12 @@ def same_node(a, b) -> bool:
     )
 
 
+def features_used(node) -> set[int]:
+    if isinstance(node, Leaf):
+        return set()
+    return {node.feature_index} | features_used(node.left) | features_used(node.right)
+
+
 def thresholds(node) -> list[float]:
     if isinstance(node, Leaf):
         return []
@@ -195,27 +234,51 @@ def oracle_case(rng, case):
     return X, y, max_depth, min_samples_split
 
 
+def check_random_cases():
+    """Trees and predictions of 320 seeded cases against the oracles."""
+    rng = np.random.default_rng(2024)
+    for case in range(320):
+        X, y, max_depth, min_samples_split = oracle_case(rng, case)
+        got = train_tree(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
+        want = cart_tree_per_feature(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
+        assert got.classes == want.classes, case
+        assert same_node(got.root, want.root), case
+        # Rows lying exactly on each split's threshold check the <= side.
+        on_cuts = np.repeat(np.array(thresholds(got.root)).reshape(-1, 1), X.shape[1], axis=1)
+        probe = np.vstack([X, rng.normal(size=(5, X.shape[1])), on_cuts])
+        got_labels, got_probs = predict_batch(got, probe)
+        want_labels, want_probs = predict_batch(want, probe)
+        assert got_labels == want_labels, case
+        assert np.array_equal(got_probs, want_probs), case
+        rowwise = [predict_rowwise(got, x) for x in probe]
+        assert got_labels == [label for label, _ in rowwise], case
+        assert got_probs.tobytes() == np.array([p for _, p in rowwise]).tobytes(), case
+        no_labels, no_probs = predict_batch(got, probe[:0])
+        assert no_labels == [] and no_probs.shape == (0, len(got.classes)), case
+
+
 class TestTreeMatchesPerFeatureOracle:
     def test_random_cases_identical(self):
-        rng = np.random.default_rng(2024)
-        for case in range(320):
-            X, y, max_depth, min_samples_split = oracle_case(rng, case)
-            got = train_tree(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
-            want = cart_tree_per_feature(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
-            assert got.classes == want.classes, case
-            assert same_node(got.root, want.root), case
-            # Rows lying exactly on each split's threshold check the <= side.
-            on_cuts = np.repeat(np.array(thresholds(got.root)).reshape(-1, 1), X.shape[1], axis=1)
-            probe = np.vstack([X, rng.normal(size=(5, X.shape[1])), on_cuts])
-            got_labels, got_probs = predict_batch(got, probe)
-            want_labels, want_probs = predict_batch(want, probe)
-            assert got_labels == want_labels, case
-            assert np.array_equal(got_probs, want_probs), case
-            rowwise = [predict_rowwise(got, x) for x in probe]
-            assert got_labels == [label for label, _ in rowwise], case
-            assert got_probs.tobytes() == np.array([p for _, p in rowwise]).tobytes(), case
-            no_labels, no_probs = predict_batch(got, probe[:0])
-            assert no_labels == [] and no_probs.shape == (0, len(got.classes)), case
+        check_random_cases()
+
+    @pytest.mark.parametrize("block", [1, 97])
+    def test_random_cases_identical_in_small_blocks(self, monkeypatch, block):
+        # Small blocks split each depth into many node x feature blocks.
+        monkeypatch.setattr(learn, "_BLOCK", block)
+        check_random_cases()
+
+    def test_few_distinct_values_column(self, monkeypatch):
+        # Whole seconds over a narrow range, as duration_s is: long runs of
+        # equal values, so most cuts of that column are not candidates.
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(400, 4))
+        X[:, 2] = rng.integers(60, 66, size=400)
+        y = [f"u{c:02d}" for c in rng.integers(26, size=400)]
+        want = cart_tree_per_feature(X, y)
+        for block in (learn._BLOCK, 1, 97):
+            monkeypatch.setattr(learn, "_BLOCK", block)
+            assert same_node(train_tree(X, y).root, want.root), block
+        assert 2 in features_used(want.root)
 
     def test_blocked_and_single_feature_nodes_identical(self):
         # 1,500 rows x 26 classes puts the root above the block size (one
