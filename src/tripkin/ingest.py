@@ -258,12 +258,18 @@ def _first_false(ok: np.ndarray) -> int:
 
 
 def _decode(data: bytes | str) -> str:
+    """UTF-8 text of a file; bad bytes raise MalformedLine for the line holding the first one.
+
+    Lines are numbered from 1 as ``str.splitlines`` splits them, which is
+    how the parsers number them.
+    """
     if isinstance(data, str):
         return data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedLine(0, f"undecodable bytes: {exc}") from None
+        line_no = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise MalformedLine(line_no, f"undecodable bytes: {exc}") from None
 
 
 def parse_plt(data: bytes | str) -> Track:
@@ -314,17 +320,13 @@ def parse_plt(data: bytes | str) -> Track:
 
 def format_plt(track: Track) -> str:
     """Render a track back into .plt text (whole-second timestamps)."""
-    day_text: dict[int, str] = {}
-    rows = []
-    for ts, lat, lon in zip(track.t.tolist(), track.lat.tolist(), track.lon.tolist()):
-        day, sec = divmod(ts, 86400)
-        if day not in day_text:
-            day_text[day] = date.fromordinal(_EPOCH_ORDINAL + day).isoformat()
-        hh, sec = divmod(sec, 3600)
-        mm, ss = divmod(sec, 60)
-        frac_days = ts / 86400.0 + _EPOCH_OFFSET_DAYS
-        rows.append(f"{lat!r},{lon!r},0,0,{frac_days!r},{day_text[day]},{hh:02d}:{mm:02d}:{ss:02d}\n")
-    return PLT_HEADER + "".join(rows)
+    t = track.t
+    # "YYYY-MM-DDTHH:MM:SS" (years 1-9999 take four digits), then "," for "T".
+    stamps = np.datetime_as_string(t.astype("datetime64[s]")).astype("U19")
+    stamps.view(np.uint32).reshape(-1, 19)[:, 10] = ord(",")
+    frac_days = t / 86400.0 + _EPOCH_OFFSET_DAYS
+    columns = zip(track.lat.tolist(), track.lon.tolist(), frac_days.tolist(), stamps.tolist())
+    return PLT_HEADER + "".join([f"{lat!r},{lon!r},0,0,{days!r},{stamp}\n" for lat, lon, days, stamp in columns])
 
 
 def parse_labels(data: bytes | str) -> tuple[list[TripLabel], int]:

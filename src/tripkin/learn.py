@@ -498,6 +498,30 @@ class ClassificationReport:
         }
 
 
+def _evaluate_fold(X, y, test, order, max_depth, seed, fold):
+    """Fit a tree on the rows outside ``test`` and score it and both baselines on ``test``.
+
+    Returns the fold's confusion matrix (tree predictions, ``order`` axes)
+    and (accuracy, macro F1, ROC-AUC) for the tree, the weighted and the
+    uniform baseline. The tree and its predictions are released on return,
+    so they are not held while the next fold's tree is grown.
+    """
+    y_train, y_test = list(y[~test]), list(y[test])
+    tree = train_tree(X[~test], y_train, max_depth=max_depth)
+    pred, probs = predict_batch(tree, X[test])
+    hist = Counter(y_train)
+    models = (
+        (pred, probs, tree.classes),
+        weighted_random_baseline(hist, len(y_test), seed=_derive_seed(seed, fold, 1)),
+        uniform_random_baseline(sorted(hist), len(y_test), seed=_derive_seed(seed, fold, 2)),
+    )
+    scores = [
+        (accuracy(y_test, p), macro_f1(y_test, p, c), roc_auc_ovr_macro(y_test, pr, c))
+        for p, pr, c in models
+    ]
+    return confusion_matrix(y_test, pred, order), scores
+
+
 def run_classification(
     dataset, k: int = 5, seed: int = 0, max_depth: int | None = None
 ) -> ClassificationReport:
@@ -520,21 +544,12 @@ def run_classification(
 
     for fold in range(k):
         test = assignment.fold_of_row == fold
-        y_train, y_test = list(y[~test]), list(y[test])
-        tree = train_tree(X[~test], y_train, max_depth=max_depth)
-        pred, probs = predict_batch(tree, X[test])
-        confusion += confusion_matrix(y_test, pred, order)
-        hist = Counter(y_train)
-        for scores, (pred, probs, classes) in (
-            (tree_scores, (pred, probs, tree.classes)),
-            (weighted_scores, weighted_random_baseline(
-                hist, len(y_test), seed=_derive_seed(seed, fold, 1))),
-            (uniform_scores, uniform_random_baseline(
-                sorted(hist), len(y_test), seed=_derive_seed(seed, fold, 2))),
-        ):
-            scores.per_fold_accuracy.append(accuracy(y_test, pred))
-            scores.per_fold_macro_f1.append(macro_f1(y_test, pred, classes))
-            scores.per_fold_roc_auc.append(roc_auc_ovr_macro(y_test, probs, classes))
+        fold_confusion, fold_scores = _evaluate_fold(X, y, test, order, max_depth, seed, fold)
+        confusion += fold_confusion
+        for scores, (acc, f1, auc) in zip((tree_scores, weighted_scores, uniform_scores), fold_scores):
+            scores.per_fold_accuracy.append(acc)
+            scores.per_fold_macro_f1.append(f1)
+            scores.per_fold_roc_auc.append(auc)
 
     row_sums = confusion.sum(axis=1)
     col_sums = confusion.sum(axis=0)

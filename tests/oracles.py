@@ -13,9 +13,10 @@ from datetime import date, datetime, timezone
 
 import numpy as np
 
-from tripkin.geokinematics import EARTH_RADIUS_M
-from tripkin.ingest import PLT_HEADER, EmptyFile, MalformedLine
+from tripkin.geokinematics import EARTH_RADIUS_M, Track
+from tripkin.ingest import PLT_HEADER, EmptyFile, MalformedLine, Trip
 from tripkin.learn import DecisionTree, EmptyTrainingSet, Leaf, Split, class_order
+from tripkin.synth import _BASE_EPOCH, modality_for_speed
 
 
 def slc_distance(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
@@ -95,13 +96,18 @@ def parse_plt_lines(data: bytes | str) -> tuple[list[int], list[float], list[flo
     Same rules and messages as ``ingest.parse_plt``: 6 header lines, blank
     lines skipped, 7 fields per line, ASCII-only coordinates, ASCII-digit
     dates and times, out-of-range coordinates dropped; the first bad line
-    raises MalformedLine.
+    raises MalformedLine, and so do bytes that are not UTF-8, for the line
+    (as ``str.splitlines`` numbers them) that holds the first such byte.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise MalformedLine(0, f"undecodable bytes: {exc}") from None
+            # surrogateescape turns each bad byte into a lone surrogate,
+            # which valid UTF-8 never decodes to and which breaks no line.
+            lines = data.decode("utf-8", "surrogateescape").splitlines()
+            line_no = next(i for i, line in enumerate(lines, 1) if any("\udc80" <= c <= "\udcff" for c in line))
+            raise MalformedLine(line_no, f"undecodable bytes: {exc}") from None
     t, lat, lon = [], [], []
     n_data = 0
     for line_no, line in enumerate(data.splitlines()[6:], start=7):
@@ -395,3 +401,63 @@ def macro_f1_loop(y_true, y_pred, classes=None) -> float:
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1s.append(2 * precision * recall / (precision + recall) if precision + recall else 0.0)
     return float(np.mean(f1s))
+
+
+def _destination(lat_deg: float, lon_deg: float, bearing: float, distance_m: float):
+    """Point at the given arc distance along a great circle (spherical)."""
+    delta = distance_m / EARTH_RADIUS_M
+    phi = math.radians(lat_deg)
+    lam = math.radians(lon_deg)
+    sin_phi2 = math.sin(phi) * math.cos(delta) + math.cos(phi) * math.sin(delta) * math.cos(bearing)
+    phi2 = math.asin(max(-1.0, min(1.0, sin_phi2)))
+    lam2 = lam + math.atan2(
+        math.sin(bearing) * math.sin(delta) * math.cos(phi),
+        math.cos(delta) - math.sin(phi) * sin_phi2,
+    )
+    lon2 = math.degrees(lam2)
+    lon2 = (lon2 + 180.0) % 360.0 - 180.0
+    return math.degrees(phi2), lon2
+
+
+def generate_trip_pointwise(profile, seed, start_time=None) -> Trip:
+    """The former synth.generate_trip: one ``_destination`` call per fix.
+
+    Kept verbatim as the reference for the per-user array generator,
+    which must give the same timestamps and coordinates bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    if start_time is None:
+        start_time = _BASE_EPOCH + float(rng.integers(0, 365)) * 86400.0
+    lat0 = float(rng.uniform(-60.0, 60.0))
+    lon0 = float(rng.uniform(-180.0, 180.0))
+    bearing = float(rng.uniform(0.0, 2.0 * math.pi))
+
+    n = profile.points_per_trip
+    dt = profile.sampling_period
+    cruise = max(0.0, float(rng.normal(profile.mean_cruise_speed, profile.speed_jitter)))
+    steps = rng.normal(0.0, profile.accel_scale * dt, size=n - 1)
+    speeds = np.empty(n - 1)
+    v = cruise
+    for i, step in enumerate(steps):
+        speeds[i] = v
+        v = max(0.0, v + step)
+    arc = np.concatenate([[0.0], np.cumsum(speeds * dt)])
+
+    if profile.gps_noise_std > 0:
+        noise = rng.normal(0.0, profile.gps_noise_std, size=(n, 2))
+    else:
+        noise = np.zeros((n, 2))
+
+    lats, lons = [], []
+    for i in range(n):
+        lat, lon = _destination(lat0, lon0, bearing, float(arc[i]))
+        lat += math.degrees(noise[i, 0] / EARTH_RADIUS_M)
+        cos_lat = max(0.01, math.cos(math.radians(lat)))
+        lon += math.degrees(noise[i, 1] / (EARTH_RADIUS_M * cos_lat))
+        lat = min(90.0, max(-90.0, lat))
+        lon = (lon + 180.0) % 360.0 - 180.0
+        lats.append(lat)
+        lons.append(lon)
+    times = (start_time + np.arange(n) * dt).astype(np.int64)
+    track = Track(times, lats, lons)
+    return Trip(profile.user_id, modality_for_speed(profile.mean_cruise_speed), track)

@@ -42,6 +42,15 @@ class TestParsePlt:
             parse_plt(plt_file("39.9,116.3,0,492,39744.1"))
         assert err.value.line_no == 7
 
+    def test_undecodable_byte_reports_its_line(self):
+        good = "39.9,116.3,0,492,39744.1,2008-10-23,02:53:0"
+        data = plt_file(*[f"{good}{i}" for i in range(4)]).encode()
+        bad = data.replace(b"02:53:02", b"02:\xff53:02")
+        with pytest.raises(MalformedLine) as err:
+            parse_plt(bad)
+        assert err.value.line_no == 9
+        assert str(err.value).startswith("line 9: undecodable bytes: 'utf-8' codec can't decode byte 0xff")
+
     def test_unparsable_date_rejects_file(self):
         with pytest.raises(MalformedLine):
             parse_plt(plt_file("39.9,116.3,0,492,39744.1,2008-13-23,02:53:04"))
@@ -144,6 +153,13 @@ class TestParseLabels:
     def test_wrong_field_count(self):
         with pytest.raises(MalformedLine):
             parse_labels("h\n2008/04/02 11:24:21\ttrain\n")
+
+    def test_undecodable_byte_reports_its_line(self):
+        data = "h\r\n2008/04/02 11:24:21\t2008/04/02 11:50:45\ttrain\r\n2008/04/03 08:00:00\t2008/04/03 09:10:11\twalk\r\n"
+        with pytest.raises(MalformedLine) as err:
+            parse_labels(data.encode().replace(b"walk", b"w\xc3lk"))
+        assert err.value.line_no == 3
+        assert str(err.value).startswith("line 3: undecodable bytes:")
 
     def test_unknown_modality_preserved_verbatim(self):
         labels, _ = parse_labels("h\n2008/04/02 11:24:21\t2008/04/02 11:50:45\thovercraft\n")

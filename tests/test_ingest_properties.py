@@ -1,4 +1,4 @@
-"""Property tests for the columnar PLT reader and writer.
+"""Property tests for the columnar PLT reader and writer, and the label writer.
 
 parse_plt checks a whole file's fields at once; the line-at-a-time
 parser in oracles.py is the reference it must agree with, result for
@@ -9,8 +9,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripkin.geokinematics import Track
-from tripkin.ingest import PLT_HEADER, EmptyFile, MalformedLine, format_plt, parse_plt
+from tripkin.geokinematics import T_MAX, T_MIN, Track
+from tripkin.ingest import (
+    PLT_HEADER,
+    EmptyFile,
+    MalformedLine,
+    TripLabel,
+    format_labels,
+    format_plt,
+    parse_labels,
+    parse_plt,
+)
 
 from oracles import format_plt_datetime, parse_plt_lines
 
@@ -98,6 +107,15 @@ def test_arbitrary_input_fails_only_as_the_line_parser_does(data):
     assert outcome(parse_plt, data) == outcome(parse_plt_lines, data)
 
 
+@settings(max_examples=200, deadline=None)
+@given(plt_file(), st.data())
+def test_undecodable_byte_fails_on_its_line_as_the_line_parser_does(data, draw):
+    raw = data.encode() if isinstance(data, str) else data
+    at = draw.draw(st.integers(0, len(raw)))
+    bad = raw[:at] + draw.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x82"])) + raw[at:]
+    assert outcome(parse_plt, bad) == outcome(parse_plt_lines, bad)
+
+
 fixes = st.lists(
     st.tuples(
         # Years 1-9999, every year that fits the four-digit date field.
@@ -118,3 +136,24 @@ def test_format_then_parse_is_identity(rows):
     assert text == format_plt_datetime(*zip(*rows))
     assert parse_plt(text) == track
     assert parse_plt(text.replace("\n", "\r\n").encode()) == track
+
+
+# A token parse_labels reads back verbatim: it splits rows on line breaks
+# and fields on tabs, and strips each field.
+modality_token = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t"), min_size=1, max_size=12
+).filter(lambda s: s == s.strip() and s.splitlines() == [s])
+trip_label = st.builds(
+    lambda times, modality: TripLabel(*sorted(times), modality),
+    st.lists(st.integers(T_MIN, T_MAX), min_size=2, max_size=2, unique=True),
+    modality_token,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(trip_label, min_size=1, max_size=8))
+def test_format_labels_then_parse_is_identity(labels):
+    # synth.write_corpus writes every labels.txt through format_labels.
+    text = format_labels(labels)
+    assert parse_labels(text) == (labels, 0)
+    assert parse_labels(text.encode()) == (labels, 0)

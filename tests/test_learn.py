@@ -520,3 +520,29 @@ class TestRunClassification:
                 assert report.per_class_recall[c] == pytest.approx(report.confusion[i, i] / row)
             if col:
                 assert report.per_class_precision[c] == pytest.approx(report.confusion[i, i] / col)
+
+    def test_previous_fold_released_before_next_fit(self, monkeypatch):
+        # Overlapping users grow trees of ~0.4 MB here. Each fold's tree
+        # and predictions must be gone when the next fold's tree starts, so
+        # the traced heap at every train_tree entry stays within MARGIN of
+        # the first fold's: room for the slightly different fold sizes and
+        # the interpreter's and numpy's small caches, not for a tree.
+        MARGIN = 64 * 1024
+        rng = np.random.default_rng(0)
+        rows = np.abs(rng.normal(1.0, 1.0, size=(1200, len(FEATURE_NAMES)))) + 0.01
+        dataset = feature_dataset(rows, [f"{i % 24:03d}" for i in range(1200)])
+        at_entry = []
+        fit = learn.train_tree
+
+        def traced_fit(*args, **kwargs):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "train_tree", traced_fit)
+        tracemalloc.start()
+        try:
+            run_classification(dataset, k=5, seed=1)
+        finally:
+            tracemalloc.stop()
+        assert len(at_entry) == 5
+        assert max(at_entry[1:]) <= at_entry[0] + MARGIN

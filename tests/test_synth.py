@@ -5,6 +5,7 @@ from tripkin.features import extract_features
 from tripkin.geokinematics import speed_sequence
 from tripkin.ingest import Trip, assemble_trips, iter_user_archives
 from tripkin.synth import (
+    _BASE_EPOCH,
     SyntheticCorpus,
     UserProfile,
     generate_corpus,
@@ -14,6 +15,7 @@ from tripkin.synth import (
 )
 
 from helpers import features_of
+from oracles import generate_trip_pointwise
 
 
 def profile(**overrides) -> UserProfile:
@@ -87,6 +89,76 @@ class TestGenerateTrip:
         means = [features_of(t)["mean_speed"] for t in corpus.trips]
         se = np.std(means) / np.sqrt(len(means))
         assert abs(np.mean(means) - p.mean_cruise_speed) < 3 * se + 1e-6
+
+
+def oracle_cases(n: int = 240):
+    """(profile, seed factory, start_time) cases in four kinds, in turn.
+
+    Ordinary trips, half of them noise-free; 3-point trips; airplane
+    speeds over thousands of kilometres, which pass near the poles and
+    over the antimeridian; and noise of hundreds to thousands of
+    kilometres, which pushes latitudes past the poles (the clip) and next
+    to them (the cos_lat floor). Seeds are ints, seed lists or generators;
+    every third trip draws its own start day.
+    """
+    rng = np.random.default_rng(2024)
+    for i in range(n):
+        kind = i % 4
+        p = profile(
+            mean_cruise_speed=float(rng.uniform(200.0, 1000.0) if kind == 2 else rng.uniform(0.5, 40.0)),
+            speed_jitter=float(rng.uniform(0.0, 3.0)),
+            accel_scale=float(rng.uniform(0.0, 2.0)),
+            points_per_trip=3 if kind == 1 else int(rng.integers(3, 150)),
+            sampling_period=float(rng.integers(60, 600) if kind == 2 else rng.integers(1, 30)),
+            gps_noise_std=float(
+                rng.uniform(1e5, 5e6) if kind == 3 else 0.0 if kind == 2 or i % 8 == 0 else rng.uniform(0.0, 30.0)
+            ),
+        )
+        seed = (lambda i=i: i, lambda i=i: [9, i], lambda i=i: np.random.default_rng(i))[i % 3]
+        start_time = None if i % 3 == 1 else _BASE_EPOCH + float(rng.uniform(0.0, 1e8))
+        yield p, seed, start_time
+
+
+class TestMatchesPointwiseOracle:
+    def test_random_trips_bit_identical(self):
+        seen = dict(pole=0, antimeridian=0, clip=0, floor=0, noise_free=0, three_points=0, no_start=0, generator=0)
+        for p, seed, start_time in oracle_cases():
+            trip = generate_trip(p, seed(), start_time)
+            expected = generate_trip_pointwise(p, seed(), start_time)
+            assert (trip.user_id, trip.modality) == (expected.user_id, expected.modality)
+            for col in ("t", "lat", "lon"):
+                got, want = getattr(trip.points, col), getattr(expected.points, col)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), col
+            lat, lon = expected.points.lat, expected.points.lon
+            seen["pole"] += p.gps_noise_std == 0 and np.abs(lat).max() > 80.0
+            seen["antimeridian"] += np.abs(np.diff(lon)).max() > 180.0
+            seen["clip"] += np.abs(lat).max() == 90.0
+            seen["floor"] += p.gps_noise_std > 0 and np.abs(lat).max() > 89.5
+            seen["noise_free"] += p.gps_noise_std == 0
+            seen["three_points"] += len(lat) == 3
+            seen["no_start"] += start_time is None
+            seen["generator"] += isinstance(seed(), np.random.Generator)
+        assert min(seen.values()) >= 3, seen
+
+    def test_corpus_trips_match_oracle_trip_by_trip(self):
+        profiles = [
+            profile(user_id="000", trips=3, points_per_trip=3, gps_noise_std=0.0),
+            profile(user_id="001", trips=5, points_per_trip=40, gps_noise_std=4.0, sampling_period=86400.0),
+            profile(user_id="002", trips=2, points_per_trip=7, mean_cruise_speed=300.0, gps_noise_std=2e6),
+        ]
+        corpus = generate_corpus(profiles, seed=17)
+        trips = iter(corpus.trips)
+        for p_idx, p in enumerate(profiles):
+            window = max(86400.0, p.points_per_trip * p.sampling_period + 3600.0)
+            user_trips = [next(trips) for _ in range(p.trips)]
+            for t_idx, trip in enumerate(user_trips):
+                expected = generate_trip_pointwise(p, [17, p_idx, t_idx], _BASE_EPOCH + t_idx * window)
+                assert trip == expected
+                assert trip.points.lat.tobytes() == expected.points.lat.tobytes()
+                assert trip.points.lon.tobytes() == expected.points.lon.tobytes()
+            # One Track per user: every trip is a slice of the same columns.
+            assert len({id(trip.points.t.base) for trip in user_trips}) == 1
+        assert next(trips, None) is None
 
 
 class TestGenerateCorpus:
