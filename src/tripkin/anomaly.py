@@ -168,8 +168,9 @@ def lof_scores(rows, k: int = 20) -> np.ndarray:
     n = len(X)
     if n <= k:
         raise TooFewRows(f"LOF with k={k} needs more than {k} rows, got {n}")
-    # Squares summed column by column, in order, as scipy's cdist does, so
-    # the distances are the same to the last bit.
+    # Squares summed one column at a time, in column order: the order in
+    # which the per-row loop form adds them, so the distances are bit-equal
+    # to that form's.
     sq = np.zeros((n, n))
     for col in X.T:
         d = col[:, None] - col[None, :]

@@ -10,7 +10,6 @@ Standard deviations throughout are population (divide-by-N) values.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -278,30 +277,24 @@ def write_features_csv(dataset: FeatureDataset, path: str | Path) -> None:
     tmp.replace(path)
 
 
-def read_features_csv(source: str | Path | io.TextIOBase) -> FeatureDataset:
+def read_features_csv(path: str | Path) -> FeatureDataset:
     """Read a feature CSV back into a dataset (provenance starts empty)."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return _read_features(fh)
-    return _read_features(source)
-
-
-def _read_features(fh) -> FeatureDataset:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        raise EmptyInput("feature CSV has no header")
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected feature CSV header: {header!r}")
-    # One flat list of floats, parsed as each row is read, so the cell
-    # strings of the whole file are never held at once.
-    users, modalities, values = [], [], []
-    for rec in reader:
-        if not rec:
-            continue
-        if len(rec) != len(CSV_COLUMNS):
-            raise ValueError(f"feature CSV row has {len(rec)} columns: {rec!r}")
-        users.append(rec[0])
-        modalities.append(rec[1])
-        values.extend(map(float, rec[2:]))
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInput("feature CSV has no header")
+        if tuple(header) != CSV_COLUMNS:
+            raise ValueError(f"unexpected feature CSV header: {header!r}")
+        # One flat list of floats, parsed as each row is read, so the cell
+        # strings of the whole file are never held at once.
+        users, modalities, values = [], [], []
+        for rec in reader:
+            if not rec:
+                continue
+            if len(rec) != len(CSV_COLUMNS):
+                raise ValueError(f"feature CSV row has {len(rec)} columns: {rec!r}")
+            users.append(rec[0])
+            modalities.append(rec[1])
+            values.extend(map(float, rec[2:]))
     return FeatureDataset(np.reshape(values, (len(users), len(FEATURE_NAMES))), users, modalities)

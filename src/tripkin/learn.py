@@ -21,15 +21,17 @@ carries the order to the next depth, so no node sorts again. All cuts of
 all nodes of a depth are scored together: int32 running class counts
 down each feature's segments, the weighted Gini of every cut between
 distinct values, and per node the first minimum in (feature, cut) order.
-Nodes go through in blocks of at most _BLOCK count elements, so memory
-stays bounded: a large node is scored a few features at a time, while
-many small nodes share one pass. Every node keeps the full class axis,
-absent classes included, and Gini is computed as
-1 - sum((count / n) ** 2) over it: the sum adds one term per training
-class in the same order at every node, so splits, thresholds and reports
-stay bit for bit those of the former one-node-at-a-time scorers.
-Dropping absent classes or rewriting Gini as sum(count ** 2) / n ** 2
-regroups that float sum and can move a near-tie between two cuts.
+Features go through in blocks of at most _BLOCK count elements (one
+feature's positions x classes, if that is more), each block covering
+every node of the depth; a depth never holds more than the n training
+rows, so memory stays bounded by max(_BLOCK, n x classes) counts. Every
+node keeps the full class axis, absent classes included, and Gini is
+computed as 1 - sum((count / n) ** 2) over it: the sum adds one term per
+training class in the same order at every node, so splits, thresholds
+and reports stay bit for bit those of the former one-node-at-a-time
+scorers. Dropping absent classes or rewriting Gini as
+sum(count ** 2) / n ** 2 regroups that float sum and can move a near-tie
+between two cuts.
 
 Accuracy and macro-F1 take their counts from one integer confusion table
 built with np.bincount over class codes.
@@ -56,10 +58,10 @@ class UndefinedMetric(ValueError):
 
 
 # Elements of the (features, positions, classes) count array one scoring
-# block of train_tree may hold. It bounds the scorer's memory: a node with
-# more than _BLOCK rows x classes (e.g. 1,470 x 26) is scored one feature
-# at a time, while many small nodes of one depth score every feature in
-# one pass.
+# block of train_tree may hold. It bounds the scorer's memory: a depth
+# whose positions x classes exceed it (e.g. 1,470 x 26) is scored one
+# feature at a time, while a depth with fewer positions scores several
+# features in one pass.
 _BLOCK = 1 << 15
 
 
@@ -177,53 +179,46 @@ def train_tree(
     XT = X.T
     perm = np.argsort(XT, axis=1, kind="stable").astype(np.int32)  # int32 to save memory
     feat = np.arange(n_features)[:, None]  # row index of per-feature gathers
-    slots: list[tuple[Split | None, bool]] = [(None, True)]  # (parent, is left child)
-    root: TreeNode | None = None
+    top = Split(-1, 0.0)  # stand-in parent: the root becomes its left child
+    slots: list[tuple[Split, str]] = [(top, "left")]  # (parent, side) of each node
     depth = 0
     while slots:
         size = node_counts.sum(axis=1)
-        ends = np.cumsum(size)
-        start = ends - size
+        start = np.cumsum(size) - size
         seg = np.repeat(np.arange(len(size)), size)  # node of each position
+        n_pos = len(seg)
         cut = np.flatnonzero(seg[1:] == seg[:-1])  # positions a left block can end at
         sv = XT[feat, perm]
         valid = sv[:, cut] < sv[:, cut + 1]
         del sv  # the sorted values are not needed while the cuts are scored
 
-        # Weighted Gini of every cut of every feature, scored in blocks of
-        # whole nodes of at most `cap` positions, so a block's count array
-        # for all features stays within _BLOCK elements; a larger node
-        # alone goes through a few features at a time.
+        # Weighted Gini of every cut of every node, a block of features at a
+        # time, so a block's count array stays within _BLOCK elements (or
+        # one feature's positions x classes, if that is more).
         totals = node_counts.astype(np.int32)  # class counts of each node
+        kc = seg[cut]  # node of each cut
+        left_n = (cut - start[kc] + 1).astype(float)
+        right_n = size[kc] - left_n
         weighted = np.full(valid.shape, np.inf)
-        cap = max(1, _BLOCK // (n_classes * n_features))
-        k0 = 0
-        while k0 < len(size):
-            k1 = max(k0 + 1, int(np.searchsorted(ends, start[k0] + cap, side="right")))
-            p0, p1, c0, c1 = start[k0], ends[k1 - 1], start[k0] - k0, ends[k1 - 1] - k1
-            kc = seg[cut[c0:c1]]  # node of each of the block's cuts
-            left_n = (cut[c0:c1] - start[kc] + 1).astype(float)
-            right_n = size[kc] - left_n
-            block = max(1, _BLOCK // ((p1 - p0) * n_classes))
-            for f0 in range(0, n_features, block):
-                f1 = min(f0 + block, n_features)
-                if not valid[f0:f1, c0:c1].any():
-                    continue
-                # Running class counts down every feature's positions. At
-                # each segment start the previous segment's totals are taken
-                # off, so the sums restart at every node.
-                counts = np.zeros((f1 - f0, p1 - p0, n_classes), dtype=np.int32)
-                at = np.arange(p1 - p0) + (p1 - p0) * np.arange(f1 - f0)[:, None]
-                counts.reshape(-1)[(at * n_classes + y[perm[f0:f1, p0:p1]]).ravel()] = 1
-                counts[:, start[k0 + 1 : k1] - p0] -= totals[k0 : k1 - 1]
-                counts[1:, 0] -= totals[k1 - 1]
-                np.cumsum(counts.reshape(-1, n_classes), axis=0, out=counts.reshape(-1, n_classes))
-                left = np.take(counts, cut[c0:c1] - p0, axis=1)
-                w = weighted[f0:f1, c0:c1]
-                w[:] = left_n * _gini(left, left_n)
-                w += right_n * _gini(np.subtract(totals[kc], left, out=left), right_n)
-                w /= size[kc]
-            k0 = k1
+        block = max(1, _BLOCK // (n_pos * n_classes))
+        for f0 in range(0, n_features, block):
+            f1 = min(f0 + block, n_features)
+            if not valid[f0:f1].any():
+                continue
+            # Running class counts down every feature's positions. At each
+            # segment start the previous segment's totals are taken off, so
+            # the sums restart at every node.
+            counts = np.zeros((f1 - f0, n_pos, n_classes), dtype=np.int32)
+            at = np.arange(n_pos) + n_pos * np.arange(f1 - f0)[:, None]
+            counts.reshape(-1)[(at * n_classes + y[perm[f0:f1]]).ravel()] = 1
+            counts[:, start[1:]] -= totals[:-1]
+            counts[1:, 0] -= totals[-1]
+            np.cumsum(counts.reshape(-1, n_classes), axis=0, out=counts.reshape(-1, n_classes))
+            left = np.take(counts, cut, axis=1)
+            w = weighted[f0:f1]
+            w[:] = left_n * _gini(left, left_n)
+            w += right_n * _gini(np.subtract(totals[kc], left, out=left), right_n)
+            w /= size[kc]
         weighted[~valid] = np.inf
 
         # Per node, the first minimum in (feature, cut) order.
@@ -231,7 +226,6 @@ def train_tree(
         low_f = np.minimum.reduceat(weighted, first_cut, axis=1)
         low = low_f.min(axis=0)
         best_f = (low_f == low).argmax(axis=0)
-        kc = seg[cut]
         hit = np.flatnonzero(weighted[best_f[kc], np.arange(len(cut))] == low[kc])
         best_p = cut[hit[np.searchsorted(hit, first_cut)]]
         split = low < np.inf
@@ -241,7 +235,7 @@ def train_tree(
         # Each split node's rows in its split feature's order: the left child
         # takes positions up to best_p, which are exactly x[feature] <= thr.
         n_split = int(split.sum())
-        pos = np.arange(len(seg))
+        pos = np.arange(n_pos)
         rows = perm[best_f[seg], pos]
         child = np.where(split[seg], 2 * (np.cumsum(split) - 1)[seg] + (pos > best_p[seg]), 2 * n_split)
         child_counts = np.bincount(
@@ -249,26 +243,21 @@ def train_tree(
         ).reshape(-1, n_classes)[:-1]
         child_grows = grows(child_counts, depth + 1)
 
-        next_slots: list[tuple[Split | None, bool]] = []
+        next_slots: list[tuple[Split, str]] = []
         # Children come left, then right; leaves copy their counts rather
         # than keep the level's whole count array alive.
         sides = iter(zip(child_counts, child_grows.tolist()))
-        for (parent, is_left), counts_k, f, t, splits in zip(
+        for (parent, side), counts_k, f, t, splits in zip(
             slots, node_counts, best_f.tolist(), thr.tolist(), split.tolist()
         ):
             node: TreeNode
             if splits:
                 children = (next(sides), next(sides))
                 node = Split(f, t, *(None if g else Leaf(c.copy()) for c, g in children))
-                next_slots += [(node, side) for side, (_, g) in zip((True, False), children) if g]
+                next_slots += [(node, s) for s, (_, g) in zip(("left", "right"), children) if g]
             else:
                 node = Leaf(counts_k.copy())
-            if parent is None:
-                root = node
-            elif is_left:
-                parent.left = node
-            else:
-                parent.right = node
+            setattr(parent, side, node)
 
         # Stable partition of every feature's row list by next-level node;
         # rows of leaves sort last and are cut off.
@@ -282,8 +271,8 @@ def train_tree(
         perm = perm[feat, keep]
         slots = next_slots
         depth += 1
-    assert root is not None
-    return DecisionTree(root=root, classes=classes)
+    assert top.left is not None
+    return DecisionTree(root=top.left, classes=classes)
 
 
 def predict_batch(tree: DecisionTree, X) -> tuple[list[str], np.ndarray]:
@@ -498,7 +487,7 @@ class ClassificationReport:
         }
 
 
-def _evaluate_fold(X, y, test, order, max_depth, seed, fold):
+def _evaluate_fold(X, y, test, order, seed, fold):
     """Fit a tree on the rows outside ``test`` and score it and both baselines on ``test``.
 
     Returns the fold's confusion matrix (tree predictions, ``order`` axes)
@@ -507,7 +496,7 @@ def _evaluate_fold(X, y, test, order, max_depth, seed, fold):
     so they are not held while the next fold's tree is grown.
     """
     y_train, y_test = list(y[~test]), list(y[test])
-    tree = train_tree(X[~test], y_train, max_depth=max_depth)
+    tree = train_tree(X[~test], y_train)
     pred, probs = predict_batch(tree, X[test])
     hist = Counter(y_train)
     models = (
@@ -522,9 +511,7 @@ def _evaluate_fold(X, y, test, order, max_depth, seed, fold):
     return confusion_matrix(y_test, pred, order), scores
 
 
-def run_classification(
-    dataset, k: int = 5, seed: int = 0, max_depth: int | None = None
-) -> ClassificationReport:
+def run_classification(dataset, k: int = 5, seed: int = 0) -> ClassificationReport:
     """Stratified k-fold evaluation of the tree against both baselines.
 
     Baselines are evaluated on the same fold splits so comparisons are
@@ -544,7 +531,7 @@ def run_classification(
 
     for fold in range(k):
         test = assignment.fold_of_row == fold
-        fold_confusion, fold_scores = _evaluate_fold(X, y, test, order, max_depth, seed, fold)
+        fold_confusion, fold_scores = _evaluate_fold(X, y, test, order, seed, fold)
         confusion += fold_confusion
         for scores, (acc, f1, auc) in zip((tree_scores, weighted_scores, uniform_scores), fold_scores):
             scores.per_fold_accuracy.append(acc)

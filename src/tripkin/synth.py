@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,11 @@ class UserProfile:
     gps_noise_std: float = 0.0  # m
 
     def __post_init__(self) -> None:
+        # The id names the user's directory under Data/, so it must stay one
+        # plain path component.
+        uid = self.user_id
+        if not isinstance(uid, str) or uid in ("", ".", "..") or any(c in uid for c in "/\\\0"):
+            raise ValueError(f"user_id must be a plain directory name, got {uid!r}")
         if self.mean_cruise_speed <= 0:
             raise ValueError("mean_cruise_speed must be positive")
         if self.speed_jitter < 0 or self.accel_scale < 0 or self.gps_noise_std < 0:
@@ -222,9 +227,45 @@ def write_corpus(corpus: SyntheticCorpus, root: str | Path) -> None:
 
 
 def load_profiles(path: str | Path) -> list[UserProfile]:
-    """Read a JSON list of profile objects (field names as in UserProfile)."""
+    """Read a JSON list of profile objects (field names as in UserProfile).
+
+    Each object has UserProfile's keys (gps_noise_std may be left out):
+    user_id a string, trips and points_per_trip integers, the rest finite
+    numbers; a bool is never a number.
+
+    Raises:
+        ValueError: the file is not a nonempty list, or an entry breaks
+            these rules or UserProfile's checks; the message names the
+            entry's index and key.
+    """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not raw:
         raise ValueError("profile file must hold a nonempty JSON list")
-    return [UserProfile(**entry) for entry in raw]
+    return [_profile(i, entry) for i, entry in enumerate(raw)]
+
+
+# The JSON values each UserProfile field annotation ("str", "int", "float")
+# accepts, and their name.
+_KINDS = {"str": (str, "a string"), "int": (int, "an integer"), "float": ((int, float), "a finite number")}
+
+
+def _profile(index: int, entry) -> UserProfile:
+    if not isinstance(entry, dict):
+        raise ValueError(f"profile {index} must be a JSON object, got {type(entry).__name__}")
+    known = {f.name: f for f in fields(UserProfile)}
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise ValueError(f"profile {index}: unknown keys {unknown}")
+    missing = [name for name, f in known.items() if name not in entry and f.default is MISSING]
+    if missing:
+        raise ValueError(f"profile {index}: missing keys {missing}")
+    for key, value in entry.items():
+        types, kind = _KINDS[known[key].type]
+        bad_float = isinstance(value, float) and not math.isfinite(value)
+        if isinstance(value, bool) or not isinstance(value, types) or bad_float:
+            raise ValueError(f"profile {index}: key {key!r} must be {kind}, got {value!r}")
+    try:
+        return UserProfile(**entry)
+    except ValueError as exc:
+        raise ValueError(f"profile {index}: {exc}") from None

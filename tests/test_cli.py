@@ -67,6 +67,36 @@ class TestSynthCommand:
     def test_missing_profiles_file(self, tmp_path):
         assert main(["synth", "--profiles", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ([1, 2], "profile 1 must be a JSON object, got list"),
+            (dict(bogus=1), "profile 1: unknown keys ['bogus']"),
+            (dict(speed_jitter=None), "profile 1: missing keys ['speed_jitter']"),
+            (dict(mean_cruise_speed="4"), "profile 1: key 'mean_cruise_speed' must be a finite number, got '4'"),
+            (dict(sampling_period=False), "profile 1: key 'sampling_period' must be a finite number, got False"),
+            (dict(gps_noise_std=float("nan")), "profile 1: key 'gps_noise_std' must be a finite number, got nan"),
+            (dict(trips=2.5), "profile 1: key 'trips' must be an integer, got 2.5"),
+            (dict(trips=True), "profile 1: key 'trips' must be an integer, got True"),
+            (dict(user_id=1), "profile 1: key 'user_id' must be a string, got 1"),
+            (dict(points_per_trip=2), "profile 1: points_per_trip must be at least 3"),
+        ]
+        + [
+            (dict(user_id=uid), f"profile 1: user_id must be a plain directory name, got {uid!r}")
+            for uid in ("../../escaped", "..", ".", "", "a/b", "a\\b", "a\0b")
+        ],
+    )
+    def test_bad_profile_exits_1_writing_nothing(self, tmp_path, capsys, change, message):
+        entries = json.loads(make_profiles(tmp_path / "p.json", n_users=2, trips=3).read_text())
+        if isinstance(change, dict):  # a None value deletes the key
+            change = {k: v for k, v in {**entries[1], **change}.items() if v is not None}
+        entries[1] = change
+        (tmp_path / "p.json").write_text(json.dumps(entries))
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["synth", "--profiles", str(tmp_path / "p.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["p.json"]
+
 
 class TestExtractCommand:
     def test_produces_feature_csv(self, features_csv):
