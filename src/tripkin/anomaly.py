@@ -11,6 +11,11 @@ Features are standardized before LOF because the raw columns span
 several orders of magnitude (trip duration in the tens of thousands of
 seconds vs accelerations near 1 m/s^2), which would let duration alone
 dominate the Euclidean distances.
+
+LOF scans a trial's distances in blocks of rows and keeps only each
+row's neighbor list, so n rows take O(_LOF_BLOCK + n * k) memory, not
+n x n. Exact distance ties grow the lists, to n * (n - 1) entries when
+all n rows are identical.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Distance entries computed per block of rows in lof_scores.
+_LOF_BLOCK = 1 << 15
 
 
 class UnknownUser(ValueError):
@@ -161,49 +169,99 @@ def lof_scores(rows, k: int = 20) -> np.ndarray:
     reachability distance, treated as +inf when that mean is zero
     (coincident points), with the ratio of two infinite lrds defined as 1.
 
+    Distances are built max(1, _LOF_BLOCK // n) rows at a time against
+    all n rows, and each block keeps only its rows' neighbor indices and
+    distances, so the working memory is O(_LOF_BLOCK + n * k) rather than
+    n x n. Ties enlarge neighborhoods: in the worst case, n identical
+    rows, every row has n - 1 neighbors and the flat neighbor lists hold
+    n * (n - 1) entries.
+
     Raises:
+        ValueError: rows is not 2-D, holds a NaN or infinity, or k < 1.
         TooFewRows: needs strictly more rows than k.
     """
     X = np.asarray(rows, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"LOF needs a 2-D array of rows, got {X.ndim}-D")
+    if k < 1:
+        raise ValueError(f"LOF needs k >= 1, got {k}")
+    if not np.isfinite(X).all():
+        raise ValueError("LOF rows must be finite")
     n = len(X)
     if n <= k:
         raise TooFewRows(f"LOF with k={k} needs more than {k} rows, got {n}")
-    # Squares summed one column at a time, in column order: the order in
-    # which the per-row loop form adds them, so the distances are bit-equal
-    # to that form's.
-    sq = np.zeros((n, n))
-    for col in X.T:
-        d = col[:, None] - col[None, :]
-        sq += d * d
-    dist = np.sqrt(sq)
-    np.fill_diagonal(dist, np.inf)  # exclude self from neighbor ranks
-    k_dist = np.partition(dist, k - 1, axis=1)[:, k - 1]
-
-    neighbors = dist <= k_dist[:, None]
-    reach = np.maximum(k_dist[None, :], dist)
-    mean_reach = _neighbor_means(reach, neighbors)
+    # The flat lists are updated in place and dropped once used: with all
+    # rows tied they are n * (n - 1) entries long.
+    k_dist, sizes, nbr, reach = _neighbor_lists(X, k)
+    np.maximum(k_dist[nbr], reach, out=reach)
+    mean_reach = _grouped_means(reach, sizes)
+    del reach
     with np.errstate(divide="ignore"):
         lrd = np.where(mean_reach == 0.0, np.inf, 1.0 / mean_reach)
 
+    ratios = lrd[nbr]
+    del nbr
+    lrd_own = np.repeat(lrd, sizes)
+    both_inf = np.isinf(ratios) & np.isinf(lrd_own)
     with np.errstate(invalid="ignore"):
-        ratios = lrd[None, :] / lrd[:, None]
-    inf_lrd = np.isinf(lrd)
-    ratios[inf_lrd[:, None] & inf_lrd[None, :]] = 1.0
-    return _neighbor_means(ratios, neighbors)
+        ratios /= lrd_own
+    ratios[both_inf] = 1.0
+    return _grouped_means(ratios, sizes)
 
 
-def _neighbor_means(values: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Mean of values[i, neighbors[i]] for each row i.
+def _neighbor_lists(X: np.ndarray, k: int):
+    """One blocked pass over the distances: each row's k-distance and neighbors.
 
-    Rows with the same neighborhood size are summed together as one
-    (rows, size) block along axis 1, which adds each row exactly as
-    ndarray.mean adds a 1-D slice (pairwise, in column order).
+    Returns k_dist, the neighborhood size of each row, and the neighbor
+    indices with their distances laid end to end by row, each row's in
+    column order.
     """
-    sizes = neighbors.sum(axis=1)
-    means = np.empty(len(values))
+    n = len(X)
+    step = max(1, _LOF_BLOCK // n)
+    k_dist = np.empty(n)
+    sizes = np.empty(n, dtype=np.intp)
+    nbr_parts, dist_parts = [], []
+    # Two block-sized buffers serve every block: the distances, and a
+    # scratch array for the squared differences and then the partition.
+    dist_buf = np.empty((min(step, n), n))
+    scratch_buf = np.empty_like(dist_buf)
+    for start in range(0, n, step):
+        block = X[start : start + step]
+        dist, scratch = dist_buf[: len(block)], scratch_buf[: len(block)]
+        # Squares summed one column at a time, in column order: the order in
+        # which the per-row loop form adds them, so the distances are
+        # bit-equal to that form's.
+        dist.fill(0.0)
+        for b_col, col in zip(block.T, X.T):
+            np.subtract(b_col[:, None], col, out=scratch)
+            dist += np.multiply(scratch, scratch, out=scratch)
+        np.sqrt(dist, out=dist)
+        own = np.arange(len(block))
+        dist[own, own + start] = np.inf  # exclude self from neighbor ranks
+        np.copyto(scratch, dist)
+        scratch.partition(k - 1, axis=1)
+        kd = scratch[:, k - 1]
+        neighbors = dist <= kd[:, None]
+        k_dist[start : start + step] = kd
+        sizes[start : start + step] = neighbors.sum(axis=1)
+        nbr_parts.append(np.nonzero(neighbors)[1])
+        dist_parts.append(dist[neighbors])
+    return k_dist, sizes, np.concatenate(nbr_parts), np.concatenate(dist_parts)
+
+
+def _grouped_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of each row's run of values, the runs laid end to end by row.
+
+    Rows with the same run size are gathered into one (rows, size) array
+    and summed along axis 1, which adds each row exactly as ndarray.mean
+    adds a 1-D slice (pairwise, in order). np.add.reduceat groups the
+    additions differently, so its sums can differ in the last bits.
+    """
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty(len(sizes))
     for size in np.unique(sizes):
         idx = np.flatnonzero(sizes == size)
-        block = values[idx][neighbors[idx]].reshape(len(idx), size)
+        block = values[starts[idx, None] + np.arange(size)]
         means[idx] = block.sum(axis=1) / size
     return means
 
@@ -215,12 +273,15 @@ def pr_auc(ground_truth, scores) -> float:
     threshold step; AP = sum over steps of (recall gain) * precision.
 
     Raises:
+        ValueError: lengths differ, or a score is NaN (+-inf just ranks).
         NoPositives: ground truth has no positive.
     """
     y = np.asarray(ground_truth, dtype=bool)
     s = np.asarray(scores, dtype=float)
     if len(y) != len(s):
         raise ValueError("length mismatch")
+    if np.isnan(s).any():
+        raise ValueError("scores contain NaN")
     n_pos = int(y.sum())
     if n_pos == 0:
         raise NoPositives("ground truth has no positive rows")

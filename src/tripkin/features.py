@@ -123,8 +123,12 @@ def extract_features(trip: Trip) -> tuple[float, ...]:
     only negative when the trip actually decelerates somewhere. The
     duration is a Python int, as the timestamps are whole seconds.
 
+    A Trip's timestamps are strictly ascending (Trip checks this, and
+    assemble_trips keeps one fix per timestamp), so DuplicateTimestamp
+    cannot arise from a trip built through Trip's constructor.
+
     Raises:
-        TooFewPoints, DuplicateTimestamp: propagated; callers drop the trip.
+        TooFewPoints: fewer than 3 points; build_feature_dataset drops the trip.
     """
     track = trip.points
     if len(track) < 3:

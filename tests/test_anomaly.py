@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tripkin import anomaly
 from tripkin.anomaly import (
     InsufficientDonors,
     NoPositives,
@@ -159,6 +162,76 @@ class TestLofScores:
                 X[rng.integers(0, n, n // 3)] = X[rng.integers(0, n, n // 3)]
             assert np.array_equal(lof_scores(X, k=k), lof_scores_loop(X, k=k))
 
+    def test_one_dimensional_rows_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            lof_scores(np.arange(30.0), k=5)
+
+    def test_nan_row_rejected(self):
+        X = np.random.default_rng(20).normal(size=(30, 3))
+        X[4, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            lof_scores(X, k=5)
+
+    def test_infinite_row_rejected(self):
+        X = np.random.default_rng(21).normal(size=(30, 3))
+        X[7, 0] = -np.inf
+        with pytest.raises(ValueError, match="finite"):
+            lof_scores(X, k=5)
+
+    def test_k_below_one_rejected(self):
+        X = np.random.default_rng(22).normal(size=(30, 3))
+        with pytest.raises(ValueError, match="k >= 1"):
+            lof_scores(X, k=0)
+
+
+def _lof_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "k_plus_one":
+        return rng.normal(size=(21, 10)), 20
+    if name == "several_blocks":
+        return rng.normal(size=(300, 10)) * rng.uniform(0.1, 5.0, size=10), 20
+    if name == "rounded_ties":
+        return np.round(rng.normal(size=(150, 10)), 1), 10
+    if name == "duplicated_rows":
+        X = rng.normal(size=(120, 10))
+        X[rng.integers(0, 120, 40)] = X[rng.integers(0, 120, 40)]
+        return X, 5
+    if name == "identical_rows":
+        return np.full((40, 10), 2.5), 5
+    raise KeyError(name)
+
+
+class TestLofBlocks:
+    @pytest.mark.parametrize(
+        "case",
+        ("k_plus_one", "several_blocks", "rounded_ties", "duplicated_rows", "identical_rows"),
+    )
+    def test_bit_identical_to_loop_at_every_block_size(self, monkeypatch, case):
+        X, k = _lof_case(case)
+        n = len(X)
+        want = lof_scores_loop(X, k=k)
+        for rows_per_block in (1, 3, 7, n - 1, n, 2 * n):
+            monkeypatch.setattr(anomaly, "_LOF_BLOCK", rows_per_block * n)
+            got = lof_scores(X, k=k)
+            assert np.array_equal(got, want), rows_per_block
+
+    @staticmethod
+    def _peak_bytes(n):
+        X = np.random.default_rng(n).normal(size=(n, 10))
+        tracemalloc.start()
+        try:
+            lof_scores(X, k=20)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_set_by_the_block_not_by_n_squared(self):
+        half, full = self._peak_bytes(750), self._peak_bytes(1500)
+        # One 1500 x 1500 float64 array alone is 17.2 MiB.
+        assert full < 4 * 2**20, full
+        # Doubling n quadruples every n x n array; block and lists only double.
+        assert full < 2 * half, (half, full)
+
 
 class TestPrAuc:
     def test_perfect_ranking(self):
@@ -211,6 +284,10 @@ class TestPrAuc:
     def test_no_positives(self):
         with pytest.raises(NoPositives):
             pr_auc([0, 0, 0], [0.1, 0.2, 0.3])
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            pr_auc([0, 1, 1], [0.1, np.nan, 0.3])
 
     def test_infinite_scores_rank_first(self):
         # Degenerate LOF setups can emit +inf scores; they must just rank.
