@@ -21,6 +21,7 @@ all n rows are identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,46 +67,19 @@ class InjectedDataset:
         )
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """PR-AUC of the LOF and random scorers for one injection trial."""
+class TrialResult(NamedTuple):
+    """PR-AUC of the LOF and random scorers for one injection trial.
 
-    user_id: str
+    The fields are the columns of anomaly_trials.csv.
+    """
+
+    subject_user: str
     trial: int
     seed: int
     n_normal: int
     n_anomaly: int
     pr_auc_lof: float
     pr_auc_random: float
-
-
-@dataclass(frozen=True)
-class ScoreSummary:
-    mean: float
-    std: float
-    min: float
-    median: float
-    max: float
-
-    @classmethod
-    def of(cls, values) -> "ScoreSummary":
-        arr = np.asarray(values, dtype=float)
-        return cls(
-            mean=float(arr.mean()),
-            std=float(arr.std()),
-            min=float(arr.min()),
-            median=float(np.median(arr)),
-            max=float(arr.max()),
-        )
-
-
-@dataclass(frozen=True)
-class ExperimentSummary:
-    n_trials: int
-    lof: ScoreSummary
-    random: ScoreSummary
-    per_user_mean_lof: dict[str, float]
-    per_user_mean_random: dict[str, float]
 
 
 def anomaly_count(n_normal: int, rate: float = 0.03) -> int:
@@ -150,10 +124,19 @@ def standardize(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Columns with zero spread map to all zeros. Returns the standardized
     matrix plus the per-column means and stds.
+
+    Raises:
+        ValueError: a column's mean or std is not finite, e.g. because
+            its values are too large for their squares to fit a float64.
     """
     X = np.asarray(rows, dtype=float)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if len(bad):
+        j = bad[0]
+        raise ValueError(f"column {j} cannot be standardized: mean {mean[j]}, std {std[j]}")
     safe = np.where(std > 0, std, 1.0)
     Z = np.where(std > 0, (X - mean) / safe, 0.0)
     return Z, mean, std
@@ -177,7 +160,8 @@ def lof_scores(rows, k: int = 20) -> np.ndarray:
     n * (n - 1) entries.
 
     Raises:
-        ValueError: rows is not 2-D, holds a NaN or infinity, or k < 1.
+        ValueError: rows is not 2-D, holds a NaN or infinity, k < 1, or
+            a squared distance overflows float64.
         TooFewRows: needs strictly more rows than k.
     """
     X = np.asarray(rows, dtype=float)
@@ -192,7 +176,11 @@ def lof_scores(rows, k: int = 20) -> np.ndarray:
         raise TooFewRows(f"LOF with k={k} needs more than {k} rows, got {n}")
     # The flat lists are updated in place and dropped once used: with all
     # rows tied they are n * (n - 1) entries long.
-    k_dist, sizes, nbr, reach = _neighbor_lists(X, k)
+    try:
+        with np.errstate(over="raise"):
+            k_dist, sizes, nbr, reach = _neighbor_lists(X, k)
+    except FloatingPointError:
+        raise ValueError("LOF squared distances overflow float64") from None
     np.maximum(k_dist[nbr], reach, out=reach)
     mean_reach = _grouped_means(reach, sizes)
     del reach
@@ -303,13 +291,15 @@ def run_anomaly_experiment(
     rate: float = 0.03,
     k: int = 20,
     seed: int = 0,
-) -> tuple[list[TrialResult], ExperimentSummary]:
+) -> tuple[list[TrialResult], dict, list[tuple[str, float, float]]]:
     """Injection trials for every user, scored by LOF and a random ranker.
 
     Each (user, trial) pair gets its own recorded integer seed derived
-    from the master seed, so single trials can be replayed. The summary
-    reports mean/std/min/median/max over all trials for both scorers,
-    plus per-user mean PR-AUCs.
+    from the master seed, so single trials can be replayed. Returns what
+    the anomaly command writes: the trial rows, in user then trial order;
+    the anomaly_summary.json document (n_trials, then mean, std, min,
+    median and max of each scorer's PR-AUCs over all trials); and per
+    user, in id order, (user_id, mean LOF PR-AUC, mean random PR-AUC).
 
     Raises:
         UnknownUser: the dataset has no rows.
@@ -331,6 +321,7 @@ def run_anomaly_experiment(
         len(users) * trials_per_user, dtype=np.uint64
     )
     results: list[TrialResult] = []
+    per_user = []
     for u_idx, user in enumerate(users):
         for trial in range(trials_per_user):
             trial_seed = int(trial_seeds[u_idx * trials_per_user + trial])
@@ -342,7 +333,7 @@ def run_anomaly_experiment(
             random_scores = rng.uniform(size=len(truth))
             results.append(
                 TrialResult(
-                    user_id=user,
+                    subject_user=user,
                     trial=trial,
                     seed=trial_seed,
                     n_normal=len(injected.normal_rows),
@@ -351,19 +342,26 @@ def run_anomaly_experiment(
                     pr_auc_random=pr_auc(truth, random_scores),
                 )
             )
+        mine = results[u_idx * trials_per_user :]
+        per_user.append(
+            (
+                user,
+                float(np.mean([r.pr_auc_lof for r in mine])),
+                float(np.mean([r.pr_auc_random for r in mine])),
+            )
+        )
 
-    by_user: dict[str, list[TrialResult]] = {u: [] for u in users}
-    for r in results:
-        by_user[r.user_id].append(r)
-    summary = ExperimentSummary(
-        n_trials=len(results),
-        lof=ScoreSummary.of([r.pr_auc_lof for r in results]),
-        random=ScoreSummary.of([r.pr_auc_random for r in results]),
-        per_user_mean_lof={
-            u: float(np.mean([r.pr_auc_lof for r in rs])) for u, rs in by_user.items()
-        },
-        per_user_mean_random={
-            u: float(np.mean([r.pr_auc_random for r in rs])) for u, rs in by_user.items()
-        },
-    )
-    return results, summary
+    summary = {"n_trials": len(results)}
+    for scorer, values in (
+        ("lof", [r.pr_auc_lof for r in results]),
+        ("random", [r.pr_auc_random for r in results]),
+    ):
+        arr = np.asarray(values, dtype=float)
+        summary[scorer] = {
+            "mean": float(arr.mean()),
+            "std": float(arr.std()),
+            "min": float(arr.min()),
+            "median": float(np.median(arr)),
+            "max": float(arr.max()),
+        }
+    return results, summary, per_user

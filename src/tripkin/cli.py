@@ -56,6 +56,8 @@ class RunConfig:
     out: str = "."
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {self.seed}")
         if self.k_folds < 2:
             raise ValueError("--k-folds must be at least 2")
         if self.min_trips < 1:
@@ -107,7 +109,7 @@ def _write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -171,30 +173,19 @@ def cmd_classify(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     report = learn.run_classification(dataset, k=cfg.k_folds, seed=cfg.seed)
-    _write_text(
-        out_dir / "classification_report.json",
-        json.dumps(report.to_dict(), indent=2) + "\n",
-    )
+    _write_text(out_dir / "classification_report.json", json.dumps(report, indent=2) + "\n")
+    order = report["class_order"]
     _write_csv(
         out_dir / "confusion_matrix.csv",
         ["true_user", "predicted_user", "count"],
-        (
-            (t, p, int(report.confusion[i, j]))
-            for i, t in enumerate(report.class_order)
-            for j, p in enumerate(report.class_order)
-        ),
+        ((t, p, n) for t, row in zip(order, report["confusion_matrix"]) for p, n in zip(order, row)),
     )
     _write_csv(
         out_dir / "per_class_metrics.csv",
         ["user_id", "trips", "precision", "recall"],
         (
-            (
-                c,
-                report.class_trip_counts[c],
-                repr(report.per_class_precision[c]),
-                repr(report.per_class_recall[c]),
-            )
-            for c in report.class_order
+            (c, report["class_trip_counts"][c], report["per_class_precision"][c], report["per_class_recall"][c])
+            for c in order
         ),
     )
     for x_name, y_name in (
@@ -206,17 +197,12 @@ def cmd_classify(cfg: RunConfig) -> int:
         _write_csv(
             out_dir / f"scatter_{x_name}_vs_{y_name}.csv",
             ["user_id", x_name, y_name],
-            zip(dataset.users.tolist(), map(repr, x), map(repr, y)),
+            zip(dataset.users.tolist(), x, y),
         )
 
-    for name, scores in (
-        ("decision tree ", report.tree),
-        ("weighted guess", report.weighted_baseline),
-        ("uniform guess ", report.uniform_baseline),
-    ):
-        s = scores.summary()
+    for model, s in report["models"].items():
         print(
-            f"{name}  accuracy {s['accuracy_mean']:.3f} +/- {s['accuracy_std']:.3f}"
+            f"{model.replace('_', ' '):14}  accuracy {s['accuracy_mean']:.3f} +/- {s['accuracy_std']:.3f}"
             f"  roc-auc {s['roc_auc_mean']:.3f} +/- {s['roc_auc_std']:.3f}"
             f"  macro-f1 {s['macro_f1_mean']:.3f} +/- {s['macro_f1_std']:.3f}"
         )
@@ -230,41 +216,23 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results, summary = anomaly_mod.run_anomaly_experiment(
+    trials, summary, per_user = anomaly_mod.run_anomaly_experiment(
         dataset,
         trials_per_user=cfg.trials,
         rate=cfg.rate,
         k=cfg.lof_k,
         seed=cfg.seed,
     )
-    _write_csv(
-        out_dir / "anomaly_trials.csv",
-        ["subject_user", "trial", "seed", "n_normal", "n_anomaly", "pr_auc_lof", "pr_auc_random"],
-        (
-            (r.user_id, r.trial, r.seed, r.n_normal, r.n_anomaly, repr(r.pr_auc_lof), repr(r.pr_auc_random))
-            for r in results
-        ),
-    )
-    summary_doc = {
-        "n_trials": summary.n_trials,
-        "lof": vars(summary.lof).copy(),
-        "random": vars(summary.random).copy(),
-    }
-    _write_text(out_dir / "anomaly_summary.json", json.dumps(summary_doc, indent=2) + "\n")
-    _write_csv(
-        out_dir / "anomaly_per_user.csv",
-        ["user_id", "mean_pr_auc_lof", "mean_pr_auc_random"],
-        (
-            (u, repr(summary.per_user_mean_lof[u]), repr(summary.per_user_mean_random[u]))
-            for u in sorted(summary.per_user_mean_lof)
-        ),
-    )
+    _write_csv(out_dir / "anomaly_trials.csv", anomaly_mod.TrialResult._fields, trials)
+    _write_text(out_dir / "anomaly_summary.json", json.dumps(summary, indent=2) + "\n")
+    _write_csv(out_dir / "anomaly_per_user.csv", ["user_id", "mean_pr_auc_lof", "mean_pr_auc_random"], per_user)
 
-    print(f"trials: {summary.n_trials}")
-    for name, stats in (("lof   ", summary.lof), ("random", summary.random)):
+    print(f"trials: {summary['n_trials']}")
+    for scorer in ("lof", "random"):
+        s = summary[scorer]
         print(
-            f"{name}  mean {stats.mean:.3f}  std {stats.std:.3f}  min {stats.min:.3f}"
-            f"  median {stats.median:.3f}  max {stats.max:.3f}"
+            f"{scorer:6}  mean {s['mean']:.3f}  std {s['std']:.3f}  min {s['min']:.3f}"
+            f"  median {s['median']:.3f}  max {s['max']:.3f}"
         )
     print(f"reports written to {out_dir}")
     return 0

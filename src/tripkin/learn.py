@@ -40,7 +40,7 @@ built with np.bincount over class codes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,14 +89,6 @@ class DecisionTree:
     classes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Fold index per row; per class, fold sizes differ by at most one."""
-
-    fold_of_row: np.ndarray
-    k: int
-
-
 def _ranked(histogram) -> tuple[str, ...]:
     return tuple(sorted(histogram, key=lambda c: (-histogram[c], c)))
 
@@ -106,8 +98,11 @@ def class_order(labels) -> tuple[str, ...]:
     return _ranked(Counter(labels))
 
 
-def stratified_kfold(labels, k: int = 5, seed: int = 0) -> FoldAssignment:
+def stratified_kfold(labels, k: int = 5, seed: int = 0) -> np.ndarray:
     """Deal each class's shuffled rows round-robin into k folds.
+
+    Returns the fold index of each row; per class, fold sizes differ by
+    at most one.
 
     Raises:
         ClassTooSmall: some class has fewer than k rows.
@@ -121,7 +116,7 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0) -> FoldAssignment:
             raise ClassTooSmall(f"class {cls!r} has {len(idx)} rows, needs >= {k}")
         rng.shuffle(idx)
         fold[idx] = np.arange(len(idx)) % k
-    return FoldAssignment(fold_of_row=fold, k=k)
+    return fold
 
 
 def _gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -425,75 +420,14 @@ def confusion_matrix(y_true, y_pred, classes) -> np.ndarray:
     return counts
 
 
-@dataclass
-class ModelScores:
-    """Per-fold metric values plus their mean and population std."""
-
-    per_fold_accuracy: list[float] = field(default_factory=list)
-    per_fold_roc_auc: list[float] = field(default_factory=list)
-    per_fold_macro_f1: list[float] = field(default_factory=list)
-
-    def summary(self) -> dict[str, float]:
-        out = {}
-        for name, vals in (
-            ("accuracy", self.per_fold_accuracy),
-            ("roc_auc", self.per_fold_roc_auc),
-            ("macro_f1", self.per_fold_macro_f1),
-        ):
-            arr = np.asarray(vals)
-            out[f"{name}_mean"] = float(arr.mean())
-            out[f"{name}_std"] = float(arr.std())
-        return out
-
-
-@dataclass
-class ClassificationReport:
-    """Cross-validated results for the tree and both random baselines."""
-
-    k_folds: int
-    seed: int
-    n_rows: int
-    class_order: tuple[str, ...]  # descending trip count, then id
-    class_trip_counts: dict[str, int]
-    tree: ModelScores
-    weighted_baseline: ModelScores
-    uniform_baseline: ModelScores
-    confusion: np.ndarray  # tree predictions, summed over folds
-    per_class_precision: dict[str, float]
-    per_class_recall: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "k_folds": self.k_folds,
-            "seed": self.seed,
-            "n_rows": self.n_rows,
-            "class_order": list(self.class_order),
-            "class_trip_counts": self.class_trip_counts,
-            "models": {
-                "decision_tree": {
-                    **self.tree.summary(),
-                    "per_fold": {
-                        "accuracy": self.tree.per_fold_accuracy,
-                        "roc_auc": self.tree.per_fold_roc_auc,
-                        "macro_f1": self.tree.per_fold_macro_f1,
-                    },
-                },
-                "weighted_guess": self.weighted_baseline.summary(),
-                "uniform_guess": self.uniform_baseline.summary(),
-            },
-            "confusion_matrix": self.confusion.tolist(),
-            "per_class_precision": self.per_class_precision,
-            "per_class_recall": self.per_class_recall,
-        }
-
-
 def _evaluate_fold(X, y, test, order, seed, fold):
     """Fit a tree on the rows outside ``test`` and score it and both baselines on ``test``.
 
     Returns the fold's confusion matrix (tree predictions, ``order`` axes)
-    and (accuracy, macro F1, ROC-AUC) for the tree, the weighted and the
-    uniform baseline. The tree and its predictions are released on return,
-    so they are not held while the next fold's tree is grown.
+    and, for the tree, the weighted and the uniform baseline, a dict of
+    accuracy, ROC-AUC and macro F1. The tree and its predictions are
+    released on return, so they are not held while the next fold's tree
+    is grown.
     """
     y_train, y_test = list(y[~test]), list(y[test])
     tree = train_tree(X[~test], y_train)
@@ -505,62 +439,71 @@ def _evaluate_fold(X, y, test, order, seed, fold):
         uniform_random_baseline(sorted(hist), len(y_test), seed=_derive_seed(seed, fold, 2)),
     )
     scores = [
-        (accuracy(y_test, p), macro_f1(y_test, p, c), roc_auc_ovr_macro(y_test, pr, c))
+        {
+            "accuracy": accuracy(y_test, p),
+            "roc_auc": roc_auc_ovr_macro(y_test, pr, c),
+            "macro_f1": macro_f1(y_test, p, c),
+        }
         for p, pr, c in models
     ]
     return confusion_matrix(y_test, pred, order), scores
 
 
-def run_classification(dataset, k: int = 5, seed: int = 0) -> ClassificationReport:
+def run_classification(dataset, k: int = 5, seed: int = 0) -> dict:
     """Stratified k-fold evaluation of the tree against both baselines.
 
-    Baselines are evaluated on the same fold splits so comparisons are
-    paired. The confusion matrix is summed over folds with classes
-    ordered by descending trip count.
+    Returns the classification_report.json document: k_folds, seed,
+    n_rows, class_order (descending trip count, then id),
+    class_trip_counts, models (per model each metric's mean and
+    population std over the folds, plus the tree's per_fold lists),
+    confusion_matrix (tree predictions summed over folds, class_order
+    axes), per_class_precision and per_class_recall. Baselines are
+    evaluated on the same fold splits, so comparisons are paired.
     """
     X = dataset.matrix()
     y = dataset.users
     order = class_order(y)
     counts = dataset.user_counts()
-    assignment = stratified_kfold(y, k=k, seed=seed)
+    fold_of_row = stratified_kfold(y, k=k, seed=seed)
 
-    tree_scores = ModelScores()
-    weighted_scores = ModelScores()
-    uniform_scores = ModelScores()
+    per_fold = {
+        model: {"accuracy": [], "roc_auc": [], "macro_f1": []}
+        for model in ("decision_tree", "weighted_guess", "uniform_guess")
+    }
     confusion = np.zeros((len(order), len(order)), dtype=int)
-
     for fold in range(k):
-        test = assignment.fold_of_row == fold
-        fold_confusion, fold_scores = _evaluate_fold(X, y, test, order, seed, fold)
+        fold_confusion, fold_scores = _evaluate_fold(X, y, fold_of_row == fold, order, seed, fold)
         confusion += fold_confusion
-        for scores, (acc, f1, auc) in zip((tree_scores, weighted_scores, uniform_scores), fold_scores):
-            scores.per_fold_accuracy.append(acc)
-            scores.per_fold_macro_f1.append(f1)
-            scores.per_fold_roc_auc.append(auc)
+        for lists, scores in zip(per_fold.values(), fold_scores):
+            for metric, value in scores.items():
+                lists[metric].append(value)
 
-    row_sums = confusion.sum(axis=1)
-    col_sums = confusion.sum(axis=0)
-    precision = {
-        c: (float(confusion[i, i] / col_sums[i]) if col_sums[i] else 0.0)
-        for i, c in enumerate(order)
+    models = {
+        model: {
+            f"{metric}_{stat}": float(reduce(values))
+            for metric, values in lists.items()
+            for stat, reduce in (("mean", np.mean), ("std", np.std))
+        }
+        for model, lists in per_fold.items()
     }
-    recall = {
-        c: (float(confusion[i, i] / row_sums[i]) if row_sums[i] else 0.0)
-        for i, c in enumerate(order)
+    models["decision_tree"]["per_fold"] = per_fold["decision_tree"]
+    hits = np.diag(confusion)
+    predicted, actual = confusion.sum(axis=0), confusion.sum(axis=1)
+    return {
+        "k_folds": k,
+        "seed": seed,
+        "n_rows": len(y),
+        "class_order": list(order),
+        "class_trip_counts": {c: counts[c] for c in order},
+        "models": models,
+        "confusion_matrix": confusion.tolist(),
+        "per_class_precision": {
+            c: float(hits[i] / predicted[i]) if predicted[i] else 0.0 for i, c in enumerate(order)
+        },
+        "per_class_recall": {
+            c: float(hits[i] / actual[i]) if actual[i] else 0.0 for i, c in enumerate(order)
+        },
     }
-    return ClassificationReport(
-        k_folds=k,
-        seed=seed,
-        n_rows=len(y),
-        class_order=order,
-        class_trip_counts={c: counts[c] for c in order},
-        tree=tree_scores,
-        weighted_baseline=weighted_scores,
-        uniform_baseline=uniform_scores,
-        confusion=confusion,
-        per_class_precision=precision,
-        per_class_recall=recall,
-    )
 
 
 def _derive_seed(seed: int, fold: int, stream: int) -> int:

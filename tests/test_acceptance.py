@@ -205,33 +205,46 @@ def _separable_corpus():
     )
 
 
-def test_c7_synthetic_end_to_end():
+def test_c7_synthetic_end_to_end(monkeypatch):
     dataset = _separable_corpus()
-    report = learn.run_classification(dataset, k=5, seed=108)
-    assert report.tree.summary()["accuracy_mean"] >= 0.95
-    for fold in range(5):
-        assert report.tree.per_fold_accuracy[fold] > report.weighted_baseline.per_fold_accuracy[fold]
-        assert report.tree.per_fold_accuracy[fold] > report.uniform_baseline.per_fold_accuracy[fold]
+    # The report holds per-fold scores for the tree only; the baselines'
+    # per-fold accuracies are read as each fold returns them.
+    fold_accuracy = []  # per fold: (tree, weighted, uniform)
+    evaluate_fold = learn._evaluate_fold
 
-    results, summary = anomaly_mod.run_anomaly_experiment(
+    def recording_fold(*args):
+        confusion, scores = evaluate_fold(*args)
+        fold_accuracy.append(tuple(s["accuracy"] for s in scores))
+        return confusion, scores
+
+    monkeypatch.setattr(learn, "_evaluate_fold", recording_fold)
+    report = learn.run_classification(dataset, k=5, seed=108)
+    tree = report["models"]["decision_tree"]
+    assert tree["accuracy_mean"] >= 0.95
+    assert [a[0] for a in fold_accuracy] == tree["per_fold"]["accuracy"]
+    for fold in range(5):
+        assert fold_accuracy[fold][0] > fold_accuracy[fold][1]
+        assert fold_accuracy[fold][0] > fold_accuracy[fold][2]
+
+    results, summary, _ = anomaly_mod.run_anomaly_experiment(
         dataset, trials_per_user=10, rate=0.03, k=20, seed=109
     )
     assert len(results) == 5 * 10
     for r in results:
         assert r.pr_auc_lof >= 0.9
         assert r.pr_auc_lof > r.pr_auc_random
-    assert summary.lof.mean > summary.random.mean
+    assert summary["lof"]["mean"] > summary["random"]["mean"]
     ok("C7 synthetic end-to-end (tree >= 0.95, LOF PR-AUC >= 0.9, beats baselines)")
 
 
 def test_c8_determinism():
     dataset = _separable_corpus()
-    report_a = learn.run_classification(dataset, k=5, seed=110).to_dict()
-    report_b = learn.run_classification(dataset, k=5, seed=110).to_dict()
+    report_a = learn.run_classification(dataset, k=5, seed=110)
+    report_b = learn.run_classification(dataset, k=5, seed=110)
     assert report_a == report_b
-    trials_a, summary_a = anomaly_mod.run_anomaly_experiment(dataset, trials_per_user=3, seed=111)
-    trials_b, summary_b = anomaly_mod.run_anomaly_experiment(dataset, trials_per_user=3, seed=111)
-    assert trials_a == trials_b and summary_a == summary_b
+    trials_a, summary_a, per_user_a = anomaly_mod.run_anomaly_experiment(dataset, trials_per_user=3, seed=111)
+    trials_b, summary_b, per_user_b = anomaly_mod.run_anomaly_experiment(dataset, trials_per_user=3, seed=111)
+    assert trials_a == trials_b and summary_a == summary_b and per_user_a == per_user_b
     ok("C8 determinism (bit-identical reports under a fixed seed)")
 
 
@@ -275,10 +288,10 @@ def test_c10_geolife_feature_statistics(geolife_dataset):
 
 @needs_geolife
 def test_c11_geolife_classification(geolife_dataset):
-    report = learn.run_classification(geolife_dataset, k=5, seed=0)
-    tree = report.tree.summary()
-    weighted = report.weighted_baseline.summary()
-    uniform = report.uniform_baseline.summary()
+    models = learn.run_classification(geolife_dataset, k=5, seed=0)["models"]
+    tree = models["decision_tree"]
+    weighted = models["weighted_guess"]
+    uniform = models["uniform_guess"]
     assert 0.25 <= tree["accuracy_mean"] <= 0.36, tree
     assert tree["roc_auc_mean"] >= 0.55, tree
     assert tree["macro_f1_mean"] >= 0.17, tree
@@ -294,14 +307,15 @@ def test_c11_geolife_classification(geolife_dataset):
 
 @needs_geolife
 def test_c12_geolife_anomaly_ordering(geolife_dataset):
-    results, summary = anomaly_mod.run_anomaly_experiment(
+    results, summary, per_user = anomaly_mod.run_anomaly_experiment(
         geolife_dataset, trials_per_user=10, rate=0.03, k=20, seed=0
     )
+    best_user_lof = max(lof for _, lof, _ in per_user)
     assert len(results) == 10 * len(geolife_dataset.user_counts())
-    assert summary.lof.mean > summary.random.mean
-    assert max(summary.per_user_mean_lof.values()) >= 0.2
+    assert summary["lof"]["mean"] > summary["random"]["mean"]
+    assert best_user_lof >= 0.2
     ok(
         "C12 anomaly ordering "
-        f"(LOF {summary.lof.mean:.3f} > random {summary.random.mean:.3f}, "
-        f"best user {max(summary.per_user_mean_lof.values()):.3f})"
+        f"(LOF {summary['lof']['mean']:.3f} > random {summary['random']['mean']:.3f}, "
+        f"best user {best_user_lof:.3f})"
     )

@@ -22,6 +22,10 @@ from helpers import feature_dataset
 from oracles import average_precision_sweep, lof_bruteforce, lof_scores_loop
 
 
+# Finite values whose squares, and squared differences, overflow float64.
+OVERFLOW_COLUMN = [0.0, 1e200, -1e200, 2e200, 3e200, 5.0]
+
+
 def blob_dataset(centers, n_per_user=40, spread=0.2, seed=0):
     rng = np.random.default_rng(seed)
     rows, users = [], []
@@ -97,6 +101,18 @@ class TestStandardize:
         Z, _, _ = standardize(X)
         assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(Z.std(axis=0), 1.0, atol=1e-9)
+
+
+    def test_finite_values_bit_identical_to_the_z_score_formula(self):
+        X = np.random.default_rng(5).uniform(-1e150, 1e150, size=(50, 4))
+        Z, mean, std = standardize(X)
+        assert np.array_equal(Z, (X - X.mean(axis=0)) / X.std(axis=0))
+        assert np.array_equal(mean, X.mean(axis=0)) and np.array_equal(std, X.std(axis=0))
+
+    def test_overflowing_column_rejected_by_name(self):
+        X = np.column_stack([np.arange(6.0), OVERFLOW_COLUMN])
+        with pytest.raises(ValueError, match="column 1 cannot be standardized"):
+            standardize(X)
 
 
 class TestLofScores:
@@ -182,6 +198,11 @@ class TestLofScores:
         X = np.random.default_rng(22).normal(size=(30, 3))
         with pytest.raises(ValueError, match="k >= 1"):
             lof_scores(X, k=0)
+
+    def test_overflowing_distance_rejected(self):
+        X = np.column_stack([np.arange(6.0), OVERFLOW_COLUMN])
+        with pytest.raises(ValueError, match="overflow"):
+            lof_scores(X, k=2)
 
 
 def _lof_case(name):
@@ -298,27 +319,29 @@ class TestPrAuc:
 class TestExperiment:
     def test_trial_count_and_determinism(self):
         dataset = blob_dataset((2.0, 20.0, 45.0), n_per_user=40, seed=11)
-        results_a, summary_a = run_anomaly_experiment(dataset, trials_per_user=4, seed=12)
-        results_b, summary_b = run_anomaly_experiment(dataset, trials_per_user=4, seed=12)
+        results_a, summary_a, per_user_a = run_anomaly_experiment(dataset, trials_per_user=4, seed=12)
+        results_b, summary_b, per_user_b = run_anomaly_experiment(dataset, trials_per_user=4, seed=12)
         assert len(results_a) == 3 * 4
         assert results_a == results_b
         assert summary_a == summary_b
+        assert per_user_a == per_user_b
 
     def test_separated_users_score_high(self):
         dataset = blob_dataset((2.0, 25.0, 60.0, 110.0), n_per_user=40, spread=0.1, seed=13)
-        results, summary = run_anomaly_experiment(dataset, trials_per_user=5, k=20, seed=14)
+        results, summary, _ = run_anomaly_experiment(dataset, trials_per_user=5, k=20, seed=14)
         for r in results:
             assert r.pr_auc_lof >= 0.9
             assert r.pr_auc_lof > r.pr_auc_random
-        assert summary.lof.mean > summary.random.mean
+        assert summary["lof"]["mean"] > summary["random"]["mean"]
 
     def test_summary_per_user_tables(self):
         dataset = blob_dataset((2.0, 20.0), n_per_user=35, seed=15)
-        results, summary = run_anomaly_experiment(dataset, trials_per_user=3, seed=16)
-        assert set(summary.per_user_mean_lof) == {"000", "001"}
+        results, _, per_user = run_anomaly_experiment(dataset, trials_per_user=3, seed=16)
+        per_user_mean_lof = {user: lof for user, lof, _ in per_user}
+        assert set(per_user_mean_lof) == {"000", "001"}
         for user in ("000", "001"):
-            mine = [r.pr_auc_lof for r in results if r.user_id == user]
-            assert summary.per_user_mean_lof[user] == pytest.approx(np.mean(mine))
+            mine = [r.pr_auc_lof for r in results if r.subject_user == user]
+            assert per_user_mean_lof[user] == pytest.approx(np.mean(mine))
 
     def test_too_large_k_fails_before_any_trial(self, monkeypatch):
         # User "000" alone could run k=50 trials; "001" cannot (40 + 1 rows).
@@ -341,8 +364,8 @@ class TestExperiment:
 
     def test_trial_seed_replays(self):
         dataset = blob_dataset((2.0, 20.0), n_per_user=40, seed=17)
-        results, _ = run_anomaly_experiment(dataset, trials_per_user=2, seed=18)
+        results, _, _ = run_anomaly_experiment(dataset, trials_per_user=2, seed=18)
         r = results[0]
-        replay = inject_anomalies(dataset, r.user_id, seed=np.random.default_rng(r.seed))
+        replay = inject_anomalies(dataset, r.subject_user, seed=np.random.default_rng(r.seed))
         standardized, _, _ = standardize(replay.vectors)
         assert pr_auc(replay.ground_truth, lof_scores(standardized, k=20)) == r.pr_auc_lof

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -6,8 +7,10 @@ import sys
 
 import pytest
 
+from tripkin.anomaly import TrialResult, run_anomaly_experiment
 from tripkin.cli import main
 from tripkin.features import FEATURE_NAMES, read_features_csv
+from tripkin.learn import run_classification
 
 
 def make_profiles(path, n_users=3, trips=36):
@@ -196,6 +199,24 @@ class TestClassifyCommand:
         for name in self.EXPECTED:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_report_is_the_library_document(self, features_csv, tmp_path):
+        out = tmp_path / "cls"
+        assert main(["classify", "--features", str(features_csv), "--out", str(out), "--seed", "2"]) == 0
+        report = run_classification(read_features_csv(features_csv), 5, 2)
+        assert json.loads((out / "classification_report.json").read_text()) == report
+        order = report["class_order"]
+        with open(out / "confusion_matrix.csv", newline="") as fh:
+            confusion = [(t, p, int(n)) for t, p, n in list(csv.reader(fh))[1:]]
+        assert confusion == [
+            (t, p, n) for t, row in zip(order, report["confusion_matrix"]) for p, n in zip(order, row)
+        ]
+        with open(out / "per_class_metrics.csv", newline="") as fh:
+            per_class = [(u, int(n), float(p), float(r)) for u, n, p, r in list(csv.reader(fh))[1:]]
+        assert per_class == [
+            (c, report["class_trip_counts"][c], report["per_class_precision"][c], report["per_class_recall"][c])
+            for c in order
+        ]
+
     def test_bad_fold_count_exits_1(self, features_csv, tmp_path, capsys):
         rc = main(["classify", "--features", str(features_csv), "--out", str(tmp_path), "--k-folds", "1"])
         assert rc == 1
@@ -240,6 +261,45 @@ class TestAnomalyCommand:
         per_user = (out / "anomaly_per_user.csv").read_text().splitlines()
         assert len(per_user) == 1 + 3
 
+    def test_outputs_are_the_library_results(self, features_csv, tmp_path):
+        out = tmp_path / "anom"
+        rc = main(
+            ["anomaly", "--features", str(features_csv), "--out", str(out), "--seed", "3", "--trials", "4"]
+        )
+        assert rc == 0
+        trials, summary, per_user = run_anomaly_experiment(
+            read_features_csv(features_csv), trials_per_user=4, seed=3
+        )
+        assert json.loads((out / "anomaly_summary.json").read_text()) == summary
+        with open(out / "anomaly_trials.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == TrialResult._fields
+        assert [
+            TrialResult(u, int(t), int(s), int(n), int(a), float(lof), float(rnd))
+            for u, t, s, n, a, lof, rnd in rows
+        ] == trials
+        with open(out / "anomaly_per_user.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(u, float(lof), float(rnd)) for u, lof, rnd in rows] == per_user
+
+    def test_overflowing_feature_exits_1_writing_nothing(self, features_csv, tmp_path, capsys):
+        # Six finite values whose squared differences overflow float64.
+        header, *rows = features_csv.read_text().splitlines(keepends=True)
+        column = header.rstrip("\n").split(",").index("mean_speed")
+        for i, value in enumerate(("0", "1e200", "-1e200", "2e200", "3e200", "5.0")):
+            cells = rows[i].rstrip("\n").split(",")
+            cells[column] = value
+            rows[i] = ",".join(cells) + "\n"
+        bad = tmp_path / "features.csv"
+        bad.write_text("".join([header, *rows]))
+        out = tmp_path / "anom"
+        capsys.readouterr()
+        assert main(["anomaly", "--features", str(bad), "--out", str(out)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: column ") and stderr.count("\n") == 1
+        assert not any(out.iterdir())
+
     def test_invalid_rate_exits_1(self, features_csv, tmp_path):
         rc = main(["anomaly", "--features", str(features_csv), "--out", str(tmp_path), "--rate", "1.5"])
         assert rc == 1
@@ -250,6 +310,16 @@ class TestAnomalyCommand:
         assert rc == 1
         assert "k=200" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["classify", "anomaly", "synth"])
+def test_negative_seed_exits_1_creating_nothing(features_csv, tmp_path, capsys, command):
+    source = ["--profiles", str(make_profiles(tmp_path / "p.json"))] if command == "synth" else ["--features", str(features_csv)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *source, "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -1\n")
+    assert not out.exists()
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -289,6 +359,7 @@ class TestConfigFile:
             ({"k_folds": "5"}, "config key 'k_folds' must be an integer, got '5'"),
             ({"k_folds": True}, "config key 'k_folds' must be an integer, got True"),
             ({"seed": 1.5}, "config key 'seed' must be an integer, got 1.5"),
+            ({"seed": -1}, "--seed must be non-negative, got -1"),
             ({"lof_k": None}, "config key 'lof_k' must be an integer, got None"),
             ({"rate": "0.03"}, "config key 'rate' must be a number, got '0.03'"),
             ({"iqr_mult": False}, "config key 'iqr_mult' must be a number, got False"),

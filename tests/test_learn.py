@@ -48,26 +48,26 @@ def random_fixture(rng, n=40, n_classes=3, n_features=10):
 
 class TestStratifiedKfold:
     def test_thirty_rows_five_folds(self):
-        fa = stratified_kfold(["a"] * 30, k=5, seed=0)
-        assert sorted(np.bincount(fa.fold_of_row).tolist()) == [6] * 5
+        fold_of_row = stratified_kfold(["a"] * 30, k=5, seed=0)
+        assert sorted(np.bincount(fold_of_row).tolist()) == [6] * 5
 
     def test_thirty_one_rows(self):
-        fa = stratified_kfold(["a"] * 31, k=5, seed=0)
-        assert sorted(np.bincount(fa.fold_of_row).tolist()) == [6, 6, 6, 6, 7]
+        fold_of_row = stratified_kfold(["a"] * 31, k=5, seed=0)
+        assert sorted(np.bincount(fold_of_row).tolist()) == [6, 6, 6, 6, 7]
 
     def test_same_seed_identical(self):
         labels = ["a"] * 12 + ["b"] * 17
         a = stratified_kfold(labels, k=5, seed=42)
         b = stratified_kfold(labels, k=5, seed=42)
-        assert np.array_equal(a.fold_of_row, b.fold_of_row)
+        assert np.array_equal(a, b)
 
     def test_per_class_balance(self):
         rng = np.random.default_rng(1)
         labels = [f"u{rng.integers(4)}" for _ in range(123)]
-        fa = stratified_kfold(labels, k=5, seed=3)
+        fold_of_row = stratified_kfold(labels, k=5, seed=3)
         arr = np.asarray(labels, dtype=object)
         for cls in set(labels):
-            sizes = np.bincount(fa.fold_of_row[arr == cls], minlength=5)
+            sizes = np.bincount(fold_of_row[arr == cls], minlength=5)
             assert sizes.max() - sizes.min() <= 1
 
     def test_class_too_small(self):
@@ -476,24 +476,25 @@ def separable_dataset(n_per_user=40, seed=0):
 
 class TestRunClassification:
     def test_separable_users_high_accuracy(self):
-        report = run_classification(separable_dataset(), k=5, seed=1)
-        assert report.tree.summary()["accuracy_mean"] >= 0.95
-        assert report.tree.summary()["accuracy_mean"] > report.weighted_baseline.summary()["accuracy_mean"]
+        models = run_classification(separable_dataset(), k=5, seed=1)["models"]
+        assert models["decision_tree"]["accuracy_mean"] >= 0.95
+        assert models["decision_tree"]["accuracy_mean"] > models["weighted_guess"]["accuracy_mean"]
 
     def test_confusion_matrix_consistency(self):
         dataset = separable_dataset(n_per_user=31, seed=2)
         report = run_classification(dataset, k=5, seed=3)
-        assert report.confusion.sum() == report.n_rows
-        for i, c in enumerate(report.class_order):
+        confusion = np.array(report["confusion_matrix"])
+        assert confusion.sum() == report["n_rows"]
+        for i, c in enumerate(report["class_order"]):
             # every row is tested exactly once across the folds
-            assert report.confusion[i].sum() == report.class_trip_counts[c]
-        assignment = stratified_kfold(dataset.users, k=5, seed=3)
+            assert confusion[i].sum() == report["class_trip_counts"][c]
+        fold_of_row = stratified_kfold(dataset.users, k=5, seed=3)
         pooled = 0.0
         for fold in range(5):
-            n_fold = int((assignment.fold_of_row == fold).sum())
-            pooled += report.tree.per_fold_accuracy[fold] * n_fold
-        assert np.trace(report.confusion) / report.confusion.sum() == pytest.approx(
-            pooled / report.n_rows
+            n_fold = int((fold_of_row == fold).sum())
+            pooled += report["models"]["decision_tree"]["per_fold"]["accuracy"][fold] * n_fold
+        assert np.trace(confusion) / confusion.sum() == pytest.approx(
+            pooled / report["n_rows"]
         )
 
     def test_class_order_by_descending_count(self):
@@ -501,25 +502,26 @@ class TestRunClassification:
         extra = [base.rows[0]] * 9  # more trips of user "000"
         dataset = feature_dataset([*base.rows, *extra], [*base.users, *["000"] * 9])
         report = run_classification(dataset, k=5, seed=5)
-        counts = [report.class_trip_counts[c] for c in report.class_order]
+        counts = [report["class_trip_counts"][c] for c in report["class_order"]]
         assert counts == sorted(counts, reverse=True)
-        assert report.class_order[0] == "000"
+        assert report["class_order"][0] == "000"
 
     def test_reports_are_reproducible(self):
         dataset = separable_dataset(n_per_user=31, seed=6)
-        a = run_classification(dataset, k=5, seed=7).to_dict()
-        b = run_classification(dataset, k=5, seed=7).to_dict()
+        a = run_classification(dataset, k=5, seed=7)
+        b = run_classification(dataset, k=5, seed=7)
         assert a == b
 
     def test_per_class_metrics_from_confusion(self):
         report = run_classification(separable_dataset(seed=8), k=5, seed=9)
-        for i, c in enumerate(report.class_order):
-            row = report.confusion[i].sum()
-            col = report.confusion[:, i].sum()
+        confusion = np.array(report["confusion_matrix"])
+        for i, c in enumerate(report["class_order"]):
+            row = confusion[i].sum()
+            col = confusion[:, i].sum()
             if row:
-                assert report.per_class_recall[c] == pytest.approx(report.confusion[i, i] / row)
+                assert report["per_class_recall"][c] == pytest.approx(confusion[i, i] / row)
             if col:
-                assert report.per_class_precision[c] == pytest.approx(report.confusion[i, i] / col)
+                assert report["per_class_precision"][c] == pytest.approx(confusion[i, i] / col)
 
     def test_previous_fold_released_before_next_fit(self, monkeypatch):
         # Overlapping users grow trees of ~0.4 MB here. Each fold's tree
