@@ -18,6 +18,8 @@ import io
 import json
 import logging
 import sys
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,41 +120,33 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_extract(cfg: RunConfig) -> int:
-    """Dataset root -> feature CSV, printing stage-by-stage drop counts."""
-    if not cfg.root:
-        raise ValueError("extract requires --root")
+    """Dataset root -> feature CSV, printing stage-by-stage drop counts.
+
+    Users are assembled and featurized one at a time; ingest counts are tallied here."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trips: list[ingest.Trip] = []
-    labels_skipped = 0
-    duplicates = 0
-    n_users_loaded = 0
-    n_quarantined = 0
-    for archive in ingest.iter_user_archives(cfg.root):
-        n_users_loaded += bool(archive.labels)
-        n_quarantined += len(archive.quarantined)
-        user_trips, skipped, dropped = ingest.assemble_trips(archive)
-        trips.extend(user_trips)
-        labels_skipped += skipped
-        duplicates += dropped
-        log.info("user %s: %d trips (%d labels skipped)", archive.user_id, len(user_trips), skipped)
+    tally: Counter[str] = Counter()
+
+    def user_trips() -> Iterator[ingest.Trip]:
+        for archive in ingest.iter_user_archives(cfg.root):
+            trips, skipped, duplicates = ingest.assemble_trips(archive)
+            tally.update(users=bool(archive.labels), quarantined=len(archive.quarantined))
+            tally.update(trips=len(trips), skipped=skipped, duplicates=duplicates)
+            log.info("user %s: %d trips (%d labels skipped)", archive.user_id, len(trips), skipped)
+            yield from trips
 
     dataset = features_mod.build_feature_dataset(
-        trips,
-        min_trips=cfg.min_trips,
-        iqr_multiplier=cfg.iqr_mult,
-        labels_skipped=labels_skipped,
-        duplicate_timestamps=duplicates,
+        user_trips(), min_trips=cfg.min_trips, iqr_multiplier=cfg.iqr_mult
     )
     features_mod.write_features_csv(dataset, out_dir / "features.csv")
 
     prov = dataset.provenance
     users = dataset.user_counts()
-    print(f"labeled users loaded:        {n_users_loaded}")
-    print(f"quarantined files:           {n_quarantined}")
-    print(f"dropped, duplicate timestamps: {prov.duplicate_timestamps}")
-    print(f"trips assembled:             {len(trips)} (labels with <2 points: {prov.labels_skipped})")
+    print(f"labeled users loaded:        {tally['users']}")
+    print(f"quarantined files:           {tally['quarantined']}")
+    print(f"dropped, duplicate timestamps: {tally['duplicates']}")
+    print(f"trips assembled:             {tally['trips']} (labels with <2 points: {tally['skipped']})")
     print(f"dropped, too few points:     {prov.too_few_points}")
     print(f"dropped, IQR outlier:        {prov.iqr_dropped}")
     print(f"dropped, user below minimum: {prov.below_min_trips_rows} rows / {prov.users_dropped} users")
@@ -160,15 +154,9 @@ def cmd_extract(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_features(cfg: RunConfig) -> features_mod.FeatureDataset:
-    if not cfg.features:
-        raise ValueError("this subcommand requires --features")
-    return features_mod.read_features_csv(cfg.features)
-
-
 def cmd_classify(cfg: RunConfig) -> int:
     """Feature CSV -> classification report, confusion matrix, scatter CSVs."""
-    dataset = _load_features(cfg)
+    dataset = features_mod.read_features_csv(cfg.features)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -212,7 +200,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_anomaly(cfg: RunConfig) -> int:
     """Feature CSV -> per-trial PR-AUC CSV plus summary statistics."""
-    dataset = _load_features(cfg)
+    dataset = features_mod.read_features_csv(cfg.features)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -240,8 +228,6 @@ def cmd_anomaly(cfg: RunConfig) -> int:
 
 def cmd_synth(cfg: RunConfig) -> int:
     """Profile JSON -> synthetic corpus in Geolife layout under --out."""
-    if not cfg.profiles:
-        raise ValueError("synth requires --profiles")
     profiles = synth.load_profiles(cfg.profiles)
     corpus = synth.generate_corpus(profiles, seed=cfg.seed)
     synth.write_corpus(corpus, cfg.out)

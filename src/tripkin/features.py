@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,11 +53,8 @@ class IqrBounds:
 
 @dataclass
 class Provenance:
-    """Counts of what each pipeline stage dropped: trips, except
-    duplicate_timestamps, which counts points that repeat a timestamp."""
+    """Counts of the trips each feature-stage reduction dropped."""
 
-    labels_skipped: int = 0
-    duplicate_timestamps: int = 0
     too_few_points: int = 0
     iqr_dropped: int = 0
     iqr_dropped_per_feature: dict[str, int] = field(default_factory=dict)
@@ -222,17 +220,13 @@ def filter_users(dataset: FeatureDataset, min_trips: int = 30) -> FeatureDataset
 
 
 def build_feature_dataset(
-    trips: list[Trip],
-    min_trips: int = 30,
-    iqr_multiplier: float = 1.5,
-    labels_skipped: int = 0,
-    duplicate_timestamps: int = 0,
+    trips: Iterable[Trip], min_trips: int = 30, iqr_multiplier: float = 1.5
 ) -> FeatureDataset:
     """Full reduction: extract features, drop IQR outliers, enforce min trips.
 
-    Trips that are too short are dropped and counted, mirroring the removal
-    of corrupted recordings. labels_skipped and duplicate_timestamps are
-    the assembly counts, recorded in the provenance as given.
+    trips is iterated once, so a generator can supply them a user at a
+    time: only the feature rows are kept. Trips that are too short are
+    dropped and counted, mirroring the removal of corrupted recordings.
     """
     rows, users, modalities = [], [], []
     n_short = 0
@@ -254,8 +248,6 @@ def build_feature_dataset(
 
     dataset = filter_users(kept, min_trips=min_trips)
     prov = dataset.provenance
-    prov.labels_skipped = labels_skipped
-    prov.duplicate_timestamps = duplicate_timestamps
     prov.too_few_points = n_short
     prov.iqr_dropped = len(featurized.rows) - len(kept.rows)
     prov.iqr_dropped_per_feature = per_feature
@@ -282,7 +274,12 @@ def write_features_csv(dataset: FeatureDataset, path: str | Path) -> None:
 
 
 def read_features_csv(path: str | Path) -> FeatureDataset:
-    """Read a feature CSV back into a dataset (provenance starts empty)."""
+    """Read a feature CSV back into a dataset (provenance starts empty).
+
+    Raises:
+        ValueError: a wrong header or column count, or a feature cell that
+            is not an ASCII number without "_" (named by line and column).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -300,5 +297,13 @@ def read_features_csv(path: str | Path) -> FeatureDataset:
                 raise ValueError(f"feature CSV row has {len(rec)} columns: {rec!r}")
             users.append(rec[0])
             modalities.append(rec[1])
-            values.extend(map(float, rec[2:]))
+            for name, cell in zip(FEATURE_NAMES, rec[2:]):
+                try:
+                    # float() alone would also take "_" separators and non-ASCII digits.
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError
+                    values.append(float(cell))
+                except ValueError:
+                    where = f"feature CSV line {reader.line_num}, column {name}"
+                    raise ValueError(f"{where}: bad number {cell!r}") from None
     return FeatureDataset(np.reshape(values, (len(users), len(FEATURE_NAMES))), users, modalities)

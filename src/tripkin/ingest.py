@@ -105,9 +105,10 @@ class Trip:
 class UserArchive:
     """Everything loaded for one user: raw trajectories plus sorted labels.
 
-    quarantined holds one "path: line N: reason" entry per file that
-    failed to parse: a trajectory file left out of trajectories, or the
-    labels.txt, in which case labels and trajectories are both empty.
+    quarantined holds one "path: line N: reason" (or "path: OS error")
+    entry per file that failed to parse or read: a trajectory file left out
+    of trajectories, or the labels.txt, in which case labels and
+    trajectories are both empty.
     """
 
     user_id: str
@@ -430,9 +431,10 @@ def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
     """Yield one UserArchive per labeled user under a Geolife-layout root.
 
     Users without a labels.txt, or whose label file holds no valid row,
-    are skipped (and logged). A malformed or empty .plt file, and a
-    malformed labels.txt, is quarantined: it is logged at WARNING as
-    "path: line N: reason" and recorded in the archive's ``quarantined``.
+    are skipped (and logged). A malformed, empty or unreadable .plt file,
+    and a malformed or unreadable labels.txt, is quarantined: it is logged
+    at WARNING as "path: line N: reason" (or "path: OS error") and
+    recorded in the archive's ``quarantined``.
     The user's other trajectories load as usual; a user whose labels.txt
     is quarantined yields an archive with no labels and no trajectories.
 
@@ -457,7 +459,7 @@ def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
         except EmptyFile:
             n_unlabeled += 1
             continue
-        except MalformedLine as exc:
+        except (MalformedLine, OSError) as exc:
             yield UserArchive(user_dir.name, [], [], (_quarantine(labels_path, exc),))
             continue
         if not labels:
@@ -472,14 +474,14 @@ def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
             for plt_path in sorted(traj_dir.glob("*.plt")):
                 try:
                     trajectories.append(parse_plt(plt_path.read_bytes()))
-                except (MalformedLine, EmptyFile) as exc:
+                except (MalformedLine, EmptyFile, OSError) as exc:
                     quarantined.append(_quarantine(plt_path, exc))
         yield UserArchive(user_dir.name, trajectories, labels, tuple(quarantined))
     if n_unlabeled:
         log.info("skipped %d user(s) without usable labels", n_unlabeled)
 
 
-def _quarantine(path: Path, exc: ValueError) -> str:
+def _quarantine(path: Path, exc: Exception) -> str:
     entry = f"{path}: {exc}"
     log.warning("quarantined %s", entry)
     return entry

@@ -250,16 +250,12 @@ def test_c8_determinism():
 
 @pytest.fixture(scope="module")
 def geolife_dataset():
-    trips = []
-    labels_skipped = duplicates = 0
-    for archive in ingest.iter_user_archives(GEOLIFE_ROOT):
-        user_trips, skipped, dropped = ingest.assemble_trips(archive)
-        trips.extend(user_trips)
-        labels_skipped += skipped
-        duplicates += dropped
-    return features_mod.build_feature_dataset(
-        trips, min_trips=30, labels_skipped=labels_skipped, duplicate_timestamps=duplicates
+    trips = (
+        trip
+        for archive in ingest.iter_user_archives(GEOLIFE_ROOT)
+        for trip in ingest.assemble_trips(archive)[0]
     )
+    return features_mod.build_feature_dataset(trips, min_trips=30)
 
 
 @needs_geolife

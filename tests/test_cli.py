@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from tripkin.features import FEATURE_NAMES, read_features_csv
 from tripkin.learn import run_classification
 
 
-def make_profiles(path, n_users=3, trips=36):
+def make_profiles(path, n_users=3, trips=36, points_per_trip=20):
     speeds = (3.0, 12.0, 25.0, 40.0, 55.0)
     entries = [
         dict(
@@ -22,7 +23,7 @@ def make_profiles(path, n_users=3, trips=36):
             speed_jitter=0.3,
             accel_scale=0.02,
             trips=trips,
-            points_per_trip=20,
+            points_per_trip=points_per_trip,
             sampling_period=10.0,
             gps_noise_std=0.0,
         )
@@ -133,6 +134,19 @@ class TestExtractCommand:
         assert after["000"] == before["000"] and after["002"] == before["002"]
         assert len(after["001"]) == len(before["001"]) - 1
 
+    def test_unreadable_plt_is_quarantined_not_fatal(self, corpus_dir, features_csv, tmp_path, capsys, caplog):
+        root = tmp_path / "raw"
+        shutil.copytree(corpus_dir / "raw", root)
+        unreadable = root / "Data" / "001" / "Trajectory" / "zz.plt"
+        unreadable.mkdir()
+        capsys.readouterr()
+        with caplog.at_level("WARNING", logger="tripkin.ingest"):
+            assert main(["extract", "--root", str(root), "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
+        assert "quarantined files:           1\n" in capsys.readouterr().out
+        (entry,) = [r.getMessage() for r in caplog.records]
+        assert entry.startswith(f"quarantined {unreadable}: [Errno 21] Is a directory")
+        assert (tmp_path / "out" / "features.csv").read_bytes() == features_csv.read_bytes()
+
     def test_bad_labels_file_quarantines_only_that_user(self, corpus_dir, tmp_path, capsys):
         # The user is skipped as if absent: the output equals that of the
         # corpus without user 001 (the pooled IQR fences move with it).
@@ -152,6 +166,22 @@ class TestExtractCommand:
         after = rows_by_user(tmp_path / "out" / "features.csv")
         expected = rows_by_user(tmp_path / "ref" / "features.csv")
         assert after == expected and after["000"] and after["002"] and not after["001"]
+
+    def test_memory_does_not_grow_with_the_number_of_users(self, tmp_path):
+        # Trips are featurized a user at a time: eight times the users of
+        # one size must leave the traced peak within a quarter of itself.
+        peaks = []
+        for n_users in (2, 16):
+            profiles = make_profiles(tmp_path / f"{n_users}.json", n_users=n_users, trips=6, points_per_trip=400)
+            root, out = tmp_path / f"raw-{n_users}", tmp_path / f"out-{n_users}"
+            assert main(["synth", "--profiles", str(profiles), "--out", str(root), "--seed", "1"]) == 0
+            tracemalloc.start()
+            try:
+                assert main(["extract", "--root", str(root), "--out", str(out), "--min-trips", "1"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestClassifyCommand:
@@ -239,6 +269,19 @@ class TestClassifyCommand:
         rc = main(["classify", "--features", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("cell", ["1_200", "\uff13.0"])
+    def test_loose_number_exits_1_naming_line_and_column(self, features_csv, tmp_path, capsys, cell):
+        # float() reads these as 1200.0 and 3.0; the file is rejected instead.
+        header, first, *rest = features_csv.read_text().splitlines(keepends=True)
+        cells = first.split(",")
+        cells[header.split(",").index("max_speed")] = cell
+        bad = tmp_path / "features.csv"
+        bad.write_text("".join([header, ",".join(cells), *rest]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["classify", "--features", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: feature CSV line 2, column max_speed: bad number {cell!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_features_file_exits_2(self, tmp_path):
         rc = main(["classify", "--features", str(tmp_path / "none.csv"), "--out", str(tmp_path)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tripkin.features import (
+    CSV_COLUMNS,
     FEATURE_NAMES,
     EmptyInput,
     FeatureDataset,
@@ -296,6 +297,21 @@ class TestCsvRoundTrip:
         # Whole-second durations keep their integer text.
         assert len(durations[0]) == 40 and all(d.isdigit() for d in durations[0])
         assert durations[1] == ["599.5", "10000000000000000000000", "1.0000000000000002"]
+
+    def test_repr_edge_texts_round_trip(self, tmp_path):
+        # Signs, exponents and subnormals stay readable under the ASCII-only,
+        # no-"_" rule for feature cells.
+        text = (
+            ",".join(CSV_COLUMNS) + "\r\n"
+            "000,walk,599,1e+22,-0.0,5e-324,-1e-05,2.5,0.1,1.0,1.7976931348623157e+308,0.30000000000000004\r\n"
+        )
+        path = tmp_path / "features.csv"
+        path.write_text(text, newline="")
+        loaded = read_features_csv(path)
+        expected = [599.0, 1e22, -0.0, 5e-324, -1e-05, 2.5, 0.1, 1.0, 1.7976931348623157e308, 0.1 + 0.2]
+        assert loaded.rows.tobytes() == np.array([expected]).tobytes()
+        write_features_csv(loaded, path)
+        assert path.read_bytes() == text.encode()
 
     def test_header_is_stable(self, tmp_path):
         dataset = make_dataset([make_row()])

@@ -1,4 +1,5 @@
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +314,35 @@ class TestLoadDataset:
         assert first.quarantined == ()
         assert second.quarantined == (f"{empty}: no data lines after the 6-line header",)
         assert len(second.trajectories) == 1
+
+    def test_unreadable_plt_is_quarantined(self, tmp_path, caplog):
+        # A directory named like a trajectory file cannot be read; it is
+        # quarantined with the OS error and the user's other file loads.
+        self.write_user(tmp_path, "000")
+        unreadable = tmp_path / "Data" / "000" / "Trajectory" / "zz.plt"
+        unreadable.mkdir()
+        with caplog.at_level("WARNING", logger="tripkin.ingest"):
+            (archive,) = list(iter_user_archives(tmp_path))
+        (entry,) = archive.quarantined
+        assert entry.startswith(f"{unreadable}: [Errno 21] Is a directory")
+        assert len(archive.trajectories) == 1 and len(archive.trajectories[0]) == 10
+        assert [r.levelname for r in caplog.records if entry in r.getMessage()] == ["WARNING"]
+
+    def test_unreadable_labels_quarantine_only_that_user(self, tmp_path, monkeypatch):
+        self.write_user(tmp_path, "000")
+        self.write_user(tmp_path, "001")
+        labels = tmp_path / "Data" / "000" / "labels.txt"
+        read_bytes = Path.read_bytes
+
+        def denied(path):
+            if path == labels:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        bad, good = iter_user_archives(tmp_path)
+        assert bad == UserArchive("000", [], [], (f"{labels}: [Errno 13] Permission denied: '{labels}'",))
+        assert good.user_id == "001" and good.quarantined == () and len(good.trajectories) == 1
 
     def test_malformed_labels_are_quarantined(self, tmp_path, caplog):
         # The user is skipped with its path and line on record; the other
