@@ -247,7 +247,7 @@ def _grouped_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """
     starts = np.cumsum(sizes) - sizes
     means = np.empty(len(sizes))
-    for size in np.unique(sizes):
+    for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
         idx = np.flatnonzero(sizes == size)
         block = values[starts[idx, None] + np.arange(size)]
         means[idx] = block.sum(axis=1) / size
@@ -357,11 +357,13 @@ def run_anomaly_experiment(
         ("random", [r.pr_auc_random for r in results]),
     ):
         arr = np.asarray(values, dtype=float)
+        # np.median's arithmetic (mean of the middle one or two); np.median imports numpy.ma.
+        middle = np.sort(arr)[(len(arr) - 1) // 2 : len(arr) // 2 + 1]
         summary[scorer] = {
             "mean": float(arr.mean()),
             "std": float(arr.std()),
             "min": float(arr.min()),
-            "median": float(np.median(arr)),
+            "median": float(middle.mean()),
             "max": float(arr.max()),
         }
     return results, summary, per_user

@@ -1,9 +1,9 @@
 """Per-trip kinematic feature extraction and dataset reduction.
 
-Each trip yields a 10-dimensional vector of speed/acceleration statistics.
-The trip set is then reduced in two passes: trips that are an outlier on
-any feature (outside the 1.5*IQR fences computed over all users pooled)
-are removed, and users left with too few trips are dropped entirely.
+Each trip yields a 10-dimensional vector of speed/acceleration statistics
+(equal-length trips are stacked and reduced as 2-D arrays). Trips that are
+an outlier on any feature (outside the 1.5*IQR fences computed over all
+users pooled) are then removed, and users left with too few trips dropped.
 Standard deviations throughout are population (divide-by-N) values.
 """
 
@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .geokinematics import TooFewPoints, acceleration_sequence, speed_sequence
+from .geokinematics import acceleration_sequence, speed_sequence
 from .ingest import Trip
 
 FEATURE_NAMES = (
@@ -35,6 +36,9 @@ FEATURE_NAMES = (
 )
 
 CSV_COLUMNS = ("user_id", "modality") + FEATURE_NAMES
+
+# Most points extract_features stacks at once: its memory is set by this, not by the trip count.
+_BLOCK = 1 << 12
 
 
 class EmptyInput(ValueError):
@@ -112,45 +116,57 @@ class FeatureDataset:
         return dict(Counter(self.users.tolist()))
 
 
-def extract_features(trip: Trip) -> tuple[float, ...]:
-    """Compute the 10 kinematic statistics for one trip, in FEATURE_NAMES order.
+def extract_features(trips: Sequence[Trip]) -> np.ndarray:
+    """The 10 kinematic statistics of each trip, one FEATURE_NAMES-ordered row per trip.
 
-    Needs at least 3 strictly increasing timestamps so the acceleration
-    sequence is nonempty. Absolute-acceleration statistics are taken over
-    |a|; min_neg_accel is the plain minimum acceleration sample, so it is
-    only negative when the trip actually decelerates somewhere. The
-    duration is a Python int, as the timestamps are whole seconds.
+    Each trip needs at least 3 strictly increasing timestamps so the
+    acceleration sequence is nonempty. Absolute-acceleration statistics are
+    taken over |a|; min_neg_accel is the plain minimum acceleration sample,
+    so it is only negative when the trip actually decelerates somewhere.
+    Equal-length trips are reduced together, as (k, L) arrays of at most
+    _BLOCK points, each row to the bits of the 1-D reductions of its trip.
 
     A Trip's timestamps are strictly ascending (Trip checks this, and
     assemble_trips keeps one fix per timestamp), so DuplicateTimestamp
     cannot arise from a trip built through Trip's constructor.
 
     Raises:
-        TooFewPoints: fewer than 3 points; build_feature_dataset drops the trip.
+        TooFewPoints: a trip has fewer than 3 points (build_feature_dataset drops those).
     """
-    track = trip.points
-    if len(track) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(track)}")
-    v = speed_sequence(track.t, track.lat, track.lon)
-    a = acceleration_sequence(track.t[1:], v)
-    abs_a = np.abs(a)
-    v_min = float(v.min())
-    v_max = float(v.max())
-    # Pairwise summation can overshoot the extremes by an ulp; keep the
-    # mean inside [min, max] so the ordering invariant is exact.
-    v_mean = min(max(float(v.mean()), v_min), v_max)
-    return (
-        int(track.t[-1] - track.t[0]),
-        v_max,
-        v_min,
-        float(a.max()),
-        float(a.min()),
-        v_mean,
-        float(abs_a.mean()),
-        float(v.std()),
-        float(a.std()),
-        float(abs_a.std()),
-    )
+    by_length: dict[int, list[int]] = {}
+    for i, trip in enumerate(trips):
+        by_length.setdefault(len(trip.points), []).append(i)
+    out = np.empty((len(trips), len(FEATURE_NAMES)))
+    for length, rows in by_length.items():
+        step = max(1, _BLOCK // length)
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            t, lat, lon = (np.array([getattr(trips[i].points, c) for i in chunk]) for c in ("t", "lat", "lon"))
+            v = speed_sequence(t, lat, lon)
+            a = acceleration_sequence(t[:, 1:], v)
+            abs_a = np.abs(a)
+            v_min, v_max = v.min(axis=1), v.max(axis=1)
+            v_mean, abs_a_mean = _mean(v), _mean(abs_a)
+            # Pairwise summation can overshoot the extremes by an ulp; keep
+            # the mean inside [min, max] so the ordering invariant is exact.
+            v_mean_clamped = np.minimum(np.maximum(v_mean, v_min), v_max)
+            out[chunk] = np.array((
+                t[:, -1] - t[:, 0], v_max, v_min, a.max(axis=1), a.min(axis=1), v_mean_clamped, abs_a_mean,
+                _std(v, v_mean), _std(a, _mean(a)), _std(abs_a, abs_a_mean),
+            )).T
+    return out
+
+
+# np.mean/np.std along the last axis with the same sums and divisions, so the
+# same bits, but without their per-call overhead, which dominates short trips.
+def _mean(x: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
+
+
+def _std(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    d = x - mean[..., None]
+    d *= d
+    return np.sqrt(_mean(d))
 
 
 def quantile(values, q: float) -> float:
@@ -225,22 +241,25 @@ def build_feature_dataset(
     """Full reduction: extract features, drop IQR outliers, enforce min trips.
 
     trips is iterated once, so a generator can supply them a user at a
-    time: only the feature rows are kept. Trips that are too short are
-    dropped and counted, mirroring the removal of corrupted recordings.
+    time: each user's run is featurized in one call and only the feature
+    rows are kept. Trips with fewer than 3 points are dropped and counted,
+    mirroring the removal of corrupted recordings.
     """
-    rows, users, modalities = [], [], []
+    blocks, users, modalities = [], [], []
     n_short = 0
-    for trip in trips:
-        try:
-            rows.append(extract_features(trip))
-        except TooFewPoints:
-            n_short += 1
-            continue
-        users.append(trip.user_id)
-        modalities.append(trip.modality)
+    for user_id, run in groupby(trips, key=lambda trip: trip.user_id):
+        run = list(run)
+        usable = [trip for trip in run if len(trip.points) >= 3]
+        n_short += len(run) - len(usable)
+        blocks.append(extract_features(usable))
+        users += [user_id] * len(usable)
+        modalities += [trip.modality for trip in usable]
+        # Collecting the next run reads one user ahead; hold only that one.
+        del run, usable
+    rows = np.concatenate(blocks) if blocks else np.empty((0, len(FEATURE_NAMES)))
     featurized = FeatureDataset(rows, users, modalities)
 
-    if rows:
+    if len(rows):
         bounds = compute_iqr_bounds(featurized.rows, multiplier=iqr_multiplier)
         kept, per_feature = filter_outlier_trips(featurized, bounds)
     else:

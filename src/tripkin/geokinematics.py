@@ -125,40 +125,41 @@ def haversine_distance(lat_a, lon_a, lat_b, lon_b) -> np.ndarray:
 
 
 def _time_deltas(t: np.ndarray) -> np.ndarray:
-    dt = t[1:] - t[:-1]
+    dt = t[..., 1:] - t[..., :-1]
     ok = dt > 0
     if not ok.all():
-        i = np.argmin(ok)
-        raise DuplicateTimestamp(f"nonpositive time delta {dt[i].item()!r} ending at t={t[i + 1].item()!r}")
+        at = np.unravel_index(np.argmin(ok), ok.shape)
+        bad, end = dt[at].item(), t[..., 1:][at].item()
+        raise DuplicateTimestamp(f"nonpositive time delta {bad!r} ending at t={end!r}")
     return dt
 
 
 def speed_sequence(t: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """Per-interval speeds (m/s) between consecutive fixes.
+    """Per-interval speeds (m/s) between consecutive fixes along the last axis.
 
-    Returns exactly ``len(t) - 1`` speeds; speed ``i`` covers the interval
-    from fix ``i`` to fix ``i+1`` and is stamped with ``t[i+1]``.
+    Returns ``L - 1`` speeds per row of ``L`` fixes, each row's bits those of
+    the 1-D call; speed ``i`` covers fixes ``i`` to ``i+1``, stamped ``t[i+1]``.
 
     Raises:
         TooFewPoints: fewer than 2 fixes.
         DuplicateTimestamp: some consecutive pair has a nonpositive time
             delta; the caller decides whether to drop the trip.
     """
-    if len(t) < 2:
-        raise TooFewPoints(f"need at least 2 points, got {len(t)}")
-    return haversine_distance(lat[:-1], lon[:-1], lat[1:], lon[1:]) / _time_deltas(t)
+    if t.shape[-1] < 2:
+        raise TooFewPoints(f"need at least 2 points, got {t.shape[-1]}")
+    return haversine_distance(lat[..., :-1], lon[..., :-1], lat[..., 1:], lon[..., 1:]) / _time_deltas(t)
 
 
 def acceleration_sequence(t_end: np.ndarray, speeds: np.ndarray) -> np.ndarray:
     """Finite-difference accelerations (m/s^2) between consecutive speeds.
 
-    ``t_end[i]`` is the end time of the interval of ``speeds[i]``; each
-    speed delta is divided by the elapsed time between those end times.
+    ``t_end[..., i]`` ends the interval of ``speeds[..., i]``; each speed
+    delta is divided by the elapsed time between those end times.
 
     Raises:
         TooFewPoints: fewer than 2 speeds.
         DuplicateTimestamp: nonpositive time delta between speeds.
     """
-    if len(speeds) < 2:
-        raise TooFewPoints(f"need at least 2 speed samples, got {len(speeds)}")
-    return (speeds[1:] - speeds[:-1]) / _time_deltas(t_end)
+    if speeds.shape[-1] < 2:
+        raise TooFewPoints(f"need at least 2 speed samples, got {speeds.shape[-1]}")
+    return (speeds[..., 1:] - speeds[..., :-1]) / _time_deltas(t_end)

@@ -53,8 +53,8 @@ def random_trips(n: int, seed: int = 0) -> list[Trip]:
 
 
 def features_of(trip: Trip) -> dict[str, float]:
-    """extract_features(trip) keyed by feature name."""
-    return dict(zip(FEATURE_NAMES, extract_features(trip)))
+    """The trip's extract_features row keyed by feature name."""
+    return dict(zip(FEATURE_NAMES, extract_features([trip])[0].tolist()))
 
 
 def feature_dataset(rows, users) -> FeatureDataset:

@@ -199,7 +199,7 @@ def _separable_corpus():
     ]
     corpus = synth.generate_corpus(profiles, seed=107)
     return features_mod.FeatureDataset(
-        [features_mod.extract_features(t) for t in corpus.trips],
+        features_mod.extract_features(corpus.trips),
         [t.user_id for t in corpus.trips],
         [t.modality for t in corpus.trips],
     )

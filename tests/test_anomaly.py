@@ -343,6 +343,15 @@ class TestExperiment:
             mine = [r.pr_auc_lof for r in results if r.subject_user == user]
             assert per_user_mean_lof[user] == pytest.approx(np.mean(mine))
 
+    @pytest.mark.parametrize("trials", [3, 4])
+    def test_summary_median_is_numpys(self, trials):
+        # 3 users x 3 trials is an odd count of trials, 3 x 4 an even one.
+        dataset = blob_dataset((2.0, 20.0, 45.0), n_per_user=35, spread=2.0, seed=17)
+        results, summary, _ = run_anomaly_experiment(dataset, trials_per_user=trials, seed=18)
+        for scorer in ("lof", "random"):
+            column = [getattr(r, f"pr_auc_{scorer}") for r in results]
+            assert summary[scorer]["median"] == float(np.median(column))
+
     def test_too_large_k_fails_before_any_trial(self, monkeypatch):
         # User "000" alone could run k=50 trials; "001" cannot (40 + 1 rows).
         rng = np.random.default_rng(19)

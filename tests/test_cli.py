@@ -372,6 +372,17 @@ def test_importing_the_cli_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", ["extract", "anomaly"])
+def test_command_loads_no_numpy_ma(corpus_dir, features_csv, tmp_path, command):
+    # numpy.ma is imported lazily (np.unique and np.median import it); neither command needs it.
+    source = ["--root", str(corpus_dir / "raw")] if command == "extract" else ["--features", str(features_csv)]
+    code = "import sys, tripkin.cli; rc = tripkin.cli.main(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-c", code, command, *source, "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, features_csv, tmp_path):
         config = tmp_path / "config.json"

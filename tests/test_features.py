@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripkin import features
 from tripkin.features import (
     CSV_COLUMNS,
     FEATURE_NAMES,
@@ -17,7 +21,8 @@ from tripkin.features import (
     read_features_csv,
     write_features_csv,
 )
-from tripkin.geokinematics import DuplicateTimestamp, TooFewPoints, Track
+from tripkin.geokinematics import DuplicateTimestamp, TooFewPoints, Track, acceleration_sequence, speed_sequence
+from tripkin.ingest import Trip
 from tripkin.synth import UserProfile, generate_trip
 
 from helpers import equator_trip, feature_dataset, features_of, random_trips
@@ -59,7 +64,7 @@ class TestExtractFeatures:
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            extract_features(equator_trip([5.0]))
+            extract_features([equator_trip([5.0, 5.0]), equator_trip([5.0])])
 
     def test_duplicate_timestamp_propagates(self):
         trip = equator_trip([5.0, 5.0, 5.0])
@@ -68,7 +73,7 @@ class TestExtractFeatures:
         repeated = Track(*(np.concatenate([c[:2], c[1:]]) for c in (pts.t, pts.lat, pts.lon)))
         object.__setattr__(broken, "points", repeated)
         with pytest.raises(DuplicateTimestamp):
-            extract_features(broken)
+            extract_features([broken])
 
     def test_matches_naive_oracle(self):
         for trip in random_trips(200, seed=5):
@@ -92,6 +97,82 @@ class TestExtractFeatures:
             if name == "duration_s":
                 continue
             assert scaled[name] == pytest.approx(2 * base[name], rel=1e-9)
+
+
+def per_trip_features(trip: Trip) -> list[float]:
+    """The 10 statistics of one trip from its own 1-D sequences, FEATURE_NAMES order."""
+    pts = trip.points
+    v = speed_sequence(pts.t, pts.lat, pts.lon)
+    a = acceleration_sequence(pts.t[1:], v)
+    abs_a = np.abs(a)
+    v_min, v_max = float(np.min(v)), float(np.max(v))
+    v_mean = min(max(float(np.mean(v)), v_min), v_max)
+    return [
+        float(pts.t[-1] - pts.t[0]), v_max, v_min, float(np.max(a)), float(np.min(a)), v_mean,
+        float(np.mean(abs_a)), float(np.std(v)), float(np.std(a)), float(np.std(abs_a)),
+    ]
+
+
+@st.composite
+def mixed_length_trips(draw):
+    """1-25 trips of 3-40 fixes in any order, their lengths drawn from a pool of at most 4."""
+    pool = draw(st.lists(st.integers(3, 40), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trips = []
+    for n in lengths:
+        t = int(rng.integers(-(10**9), 10**9)) + np.cumsum(rng.integers(1, 30, size=n))
+        # About one hop in five stands still, so zero speeds and repeated
+        # speeds (zero accelerations) occur.
+        hops = rng.normal(scale=1e-3, size=(2, n)) * (rng.random(n) < 0.8)
+        lat = np.clip(rng.uniform(-60, 60) + np.cumsum(hops[0]), -90, 90)
+        lon = np.clip(rng.uniform(-170, 170) + np.cumsum(hops[1]), -180, 180)
+        trips.append(Trip("000", "walk", Track(t, lat, lon)))
+    return trips
+
+
+class TestBatchExtraction:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_length_trips())
+    def test_bit_identical_to_per_trip_oracle_at_every_block_size(self, trips):
+        want = np.array([per_trip_features(trip) for trip in trips])
+        for block in (1, 7, 100, features._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(features, "_BLOCK", block)
+                got = extract_features(trips)
+            assert got.shape == (len(trips), len(FEATURE_NAMES)) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), block
+
+    def test_bit_identical_past_the_pairwise_summation_blocks(self):
+        # numpy sums more than 8 and more than 128 values in unrolled and
+        # split blocks; rows of these lengths must keep the 1-D bits too.
+        rng = np.random.default_rng(5)
+        trips = []
+        for n in (129, 600, 600, 1000, 5000, 129):
+            walk = rng.uniform(-50, 50, size=(2, 1)) + np.cumsum(rng.normal(scale=1e-4, size=(2, n)), axis=1)
+            trips.append(Trip("000", "walk", Track(np.cumsum(rng.integers(1, 5, size=n)), *walk)))
+        want = np.array([per_trip_features(trip) for trip in trips])
+        assert extract_features(trips).tobytes() == want.tobytes()
+
+    def test_no_trips_gives_no_rows(self):
+        assert extract_features([]).shape == (0, len(FEATURE_NAMES))
+
+    @staticmethod
+    def _peak_bytes(trips):
+        tracemalloc.start()
+        try:
+            extract_features(trips)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_set_by_the_block_not_by_the_user(self):
+        rng = np.random.default_rng(41)
+        walk = 30.0 + np.cumsum(rng.normal(scale=1e-5, size=(40, 2, 5000)), axis=2)
+        trips = [Trip("000", "walk", Track(np.arange(5000) * 2, lat, lon)) for lat, lon in walk]
+        # All 40 trips stacked at once would hold ten times the 4 trips' arrays.
+        few, many = self._peak_bytes(trips[:4]), self._peak_bytes(trips)
+        assert many < 2 * few, (few, many)
 
 
 class TestQuantile:
@@ -242,6 +323,33 @@ class TestPipeline:
         dataset = build_feature_dataset(trips, min_trips=30)
         assert dataset.provenance.iqr_dropped == 1
         assert len(dataset.rows) == 31
+
+
+    @staticmethod
+    def _user_streams(n_users, trips=100, fixes=400):
+        """Each user's trips, made only when the stream reaches that user."""
+        for u in range(n_users):
+            walk = 30.0 + np.cumsum(np.random.default_rng(u).normal(scale=1e-5, size=(2, trips * fixes)), axis=1)
+            track = Track(np.arange(trips * fixes) * 2, *walk)
+            user_trips = [Trip(f"{u:03d}", "walk", track[i * fixes : (i + 1) * fixes]) for i in range(trips)]
+            yield from user_trips
+
+    @classmethod
+    def _peak_bytes(cls, n_users):
+        tracemalloc.start()
+        try:
+            build_feature_dataset(cls._user_streams(n_users), min_trips=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_holds_at_most_two_users_of_a_stream(self):
+        self._peak_bytes(1)  # first-use imports
+        two, five = self._peak_bytes(2), self._peak_bytes(5)
+        # Ending one user's run reads the next user's first trip, so two
+        # users are live at once. Were a third kept live as well, five
+        # users would peak at about 1.24 times two users.
+        assert five < 1.1 * two, (two, five)
 
 
 class TestFeatureDataset:

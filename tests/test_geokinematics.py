@@ -163,6 +163,30 @@ class TestAccelerationSequence:
             acceleration_sequence(np.array([1, 1]), np.array([1.0, 2.0]))
 
 
+class TestStackedTracks:
+    """(k, L) inputs give each row the bits of the 1-D call on that row."""
+
+    def test_rows_match_one_dimensional_calls(self):
+        lats, lons = random_points(6 * 30, seed=31)
+        lat, lon = lats.reshape(6, 30), lons.reshape(6, 30)
+        t = np.cumsum(np.random.default_rng(32).integers(1, 40, size=(6, 30)), axis=1)
+        v = speed_sequence(t, lat, lon)
+        a = acceleration_sequence(t[:, 1:], v)
+        assert v.shape == (6, 29) and a.shape == (6, 28)
+        for row in range(6):
+            v_row = speed_sequence(t[row], lat[row], lon[row])
+            assert v[row].tobytes() == v_row.tobytes()
+            assert a[row].tobytes() == acceleration_sequence(t[row, 1:], v_row).tobytes()
+
+    def test_bad_delta_is_named_by_its_row(self):
+        t = np.array([[0, 10, 20, 30], [100, 110, 120, 130], [200, 210, 203, 230]])
+        lat = lon = np.zeros(t.shape)
+        with pytest.raises(DuplicateTimestamp, match=r"^nonpositive time delta -7 ending at t=203$"):
+            speed_sequence(t, lat, lon)
+        with pytest.raises(DuplicateTimestamp, match=r"^nonpositive time delta 0 ending at t=210$"):
+            acceleration_sequence(np.array([[1, 2, 3], [4, 5, 6], [205, 210, 210]])[:, 1:], np.ones((3, 2)))
+
+
 def test_time_shift_invariance():
     lats, lons = random_points(40, seed=22)
     t = np.arange(40) * 5

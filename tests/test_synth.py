@@ -53,7 +53,7 @@ class TestGenerateTrip:
             trip = generate_trip(p, seed=[2, i])
             assert isinstance(trip, Trip)  # construction enforces ordering
             assert len(trip.points) == p.points_per_trip
-            extract_features(trip)  # must not raise
+            extract_features([trip])  # must not raise
 
     def test_speeds_are_clipped_at_zero(self):
         p = profile(mean_cruise_speed=0.5, accel_scale=2.0, points_per_trip=60)
@@ -77,7 +77,7 @@ class TestGenerateTrip:
         slow = profile(user_id="slow", mean_cruise_speed=5.0, speed_jitter=0.5, trips=20)
         fast = profile(user_id="fast", mean_cruise_speed=25.0, speed_jitter=0.5, trips=20)
         corpus = generate_corpus([slow, fast], seed=21)
-        X = np.array([extract_features(t) for t in corpus.trips], dtype=float)
+        X = extract_features(corpus.trips)
         y = [t.user_id for t in corpus.trips]
         tree = train_tree(X, y, max_depth=1)
         preds, _ = predict_batch(tree, X)
