@@ -17,21 +17,30 @@ Mehta, Agrawal & Rissanen 1996, and SPRINT, Shafer, Agrawal & Mehta
 1996). One stable argsort per fit orders every column's rows by value,
 then original row. Each depth keeps, per feature, its nodes' rows as
 consecutive segments in that order; a stable partition by child node
-carries the order to the next depth, so no node sorts again. All cuts of
-all nodes of a depth are scored together: int32 running class counts
-down each feature's segments, the weighted Gini of every cut between
-distinct values, and per node the first minimum in (feature, cut) order.
-Features go through in blocks of at most _BLOCK count elements (one
-feature's positions x classes, if that is more), each block covering
-every node of the depth; a depth never holds more than the n training
-rows, so memory stays bounded by max(_BLOCK, n x classes) counts. Every
-node keeps the full class axis, absent classes included, and Gini is
-computed as 1 - sum((count / n) ** 2) over it: the sum adds one term per
-training class in the same order at every node, so splits, thresholds
-and reports stay bit for bit those of the former one-node-at-a-time
-scorers. Dropping absent classes or rewriting Gini as
-sum(count ** 2) / n ** 2 regroups that float sum and can move a near-tie
-between two cuts.
+carries the order to the next depth, so no node sorts again.
+
+All cuts of all nodes of a depth are scored together, in two passes.
+A screen scores every cut between distinct values from exact integer
+sums, 1 - (sum L_c^2 / left_n + sum R_c^2 / right_n) / size: one stable
+sort of a feature's positions by class ranks each row among its node's
+earlier rows of its class, and running sums of 2 * rank + 1 and of the
+row's class total give sum L_c^2 and sum T_c * L_c, hence sum R_c^2, at
+O(positions) per feature rather than O(positions x classes). Then only
+the valid cuts whose screen lies within (classes + 16) * 2**-48 of their
+node's lowest are re-scored with the former scorers' float expression,
+1 - sum((count / n) ** 2) over the full class axis per side, weighted by
+the side's rows and divided by the node size, and each node takes the
+first minimum of those values in (value, feature, cut) order. The
+margin is more than twice the two scores' summed error bounds (see
+_MARGIN), so no cut the float expression could rank first is left out,
+and splits, thresholds and reports stay bit for bit those of scoring
+every cut in float. That float sum adds one term per training class in
+the same order at every node; dropping absent classes or rewriting it
+as sum(count ** 2) / n ** 2 regroups it and can move a near-tie, so the
+screen selects cuts and never decides between them. Both passes hold at
+most _BLOCK integers at a time: (features, positions) sums in the
+screen, one feature if its positions exceed it, and (cuts, classes)
+left counts in the re-scoring.
 
 Accuracy and macro-F1 take their counts from one integer confusion table
 built with np.bincount over class codes.
@@ -57,12 +66,25 @@ class UndefinedMetric(ValueError):
     """The metric has no defined value on this input."""
 
 
-# Elements of the (features, positions, classes) count array one scoring
-# block of train_tree may hold. It bounds the scorer's memory: a depth
-# whose positions x classes exceed it (e.g. 1,470 x 26) is scored one
-# feature at a time, while a depth with fewer positions scores several
-# features in one pass.
-_BLOCK = 1 << 15
+# Elements one block of train_tree may hold: a screening block's
+# (features, positions) integer sums, or a re-scoring chunk's (cuts,
+# classes) left counts. A depth whose positions exceed it is screened one
+# feature at a time.
+_BLOCK = 1 << 13
+
+# A node re-scores in float every valid cut whose screening score is
+# within (C + 16) * _MARGIN of the node's lowest, for C classes. With
+# u = 2**-53, the float expression's error is at most (C + 6) * 1.05 * u:
+# (C + 2)u in the sum of C squared shares (the share, its square, C - 1
+# additions), one u each for 1 - sum, the weight, the addition and the
+# division, and 5% for second-order terms. The screen's is at most 8u: its
+# integer sums are exact (below 2**53 for fewer than 9e7 rows), and five
+# roundings (a reciprocal and a product per side, their sum) leave 3u on a
+# value at most 1 before 1 - it adds one more. A cut the float expression
+# ranks first therefore screens at most 2 * ((C + 6) * 1.05 + 8) * u above
+# the node's lowest screen, and (C + 16) * 2**-48 = 32 * (C + 16) * u
+# exceeds that for every C.
+_MARGIN = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -105,8 +127,11 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0) -> np.ndarray:
     at most one.
 
     Raises:
+        ValueError: k is below 2.
         ClassTooSmall: some class has fewer than k rows.
     """
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
     labels = np.asarray(labels, dtype=object)
     rng = np.random.default_rng(seed)
     fold = np.empty(len(labels), dtype=int)
@@ -124,6 +149,18 @@ def _gini(counts: np.ndarray, size: np.ndarray) -> np.ndarray:
     share = counts / size[:, None]
     share **= 2
     return 1.0 - share.sum(axis=-1)
+
+
+def _screen(sum_l2, sum_r2, left_n, right_n, out):
+    """Weighted Gini 1 - (sum L_c^2 / left_n + sum R_c^2 / right_n) / size, into out.
+
+    sum_l2 and sum_r2 are exact integer sums of squared left and right
+    class counts; left_n and right_n are the cuts' row counts.
+    """
+    size = left_n + right_n
+    np.multiply(sum_l2, 1.0 / (left_n * size), out=out)
+    out += sum_r2 * (1.0 / (right_n * size))
+    return np.subtract(1.0, out, out=out)
 
 
 def train_tree(
@@ -156,7 +193,7 @@ def train_tree(
     classes = class_order(labels)
     n_classes = len(classes)
     code_of = {c: i for i, c in enumerate(classes)}
-    y = np.array([code_of[lab] for lab in labels])
+    y = np.array([code_of[lab] for lab in labels], dtype=np.min_scalar_type(n_classes - 1))
     n, n_features = X.shape
 
     def grows(counts: np.ndarray, depth: int) -> np.ndarray:
@@ -187,37 +224,83 @@ def train_tree(
         valid = sv[:, cut] < sv[:, cut + 1]
         del sv  # the sorted values are not needed while the cuts are scored
 
-        # Weighted Gini of every cut of every node, a block of features at a
-        # time, so a block's count array stays within _BLOCK elements (or
-        # one feature's positions x classes, if that is more).
-        totals = node_counts.astype(np.int32)  # class counts of each node
         kc = seg[cut]  # node of each cut
         left_n = (cut - start[kc] + 1).astype(float)
         right_n = size[kc] - left_n
-        weighted = np.full(valid.shape, np.inf)
-        block = max(1, _BLOCK // (n_pos * n_classes))
+        first_cut = start - np.arange(len(size))
+
+        # Screen every cut with exact integer sums, a block of features at a
+        # time. Each row adds 2 * rank + 1 (rank = its node's earlier rows of
+        # its class) to sum L_c^2, and T_y to sum T_c * L_c, of every cut
+        # from its position on. A stable sort by class puts a feature's
+        # positions in (class, node, position) order, whose groups are the
+        # same for every feature, so both addends follow from the place in
+        # that order alone.
+        group = node_counts.T.ravel()  # rows per (class, node)
+        rank = np.arange(n_pos) - np.repeat(np.cumsum(group) - group, group)
+        by_place = np.stack([2 * rank + 1, np.repeat(group, group)])
+        t2 = (node_counts**2).sum(axis=1)  # sum T_c^2: both sums over a whole node
+        screen = np.full(valid.shape, np.inf)
+        block = max(1, _BLOCK // n_pos)
         for f0 in range(0, n_features, block):
             f1 = min(f0 + block, n_features)
             if not valid[f0:f1].any():
                 continue
-            # Running class counts down every feature's positions. At each
-            # segment start the previous segment's totals are taken off, so
-            # the sums restart at every node.
-            counts = np.zeros((f1 - f0, n_pos, n_classes), dtype=np.int32)
-            at = np.arange(n_pos) + n_pos * np.arange(f1 - f0)[:, None]
-            counts.reshape(-1)[(at * n_classes + y[perm[f0:f1]]).ravel()] = 1
-            counts[:, start[1:]] -= totals[:-1]
-            counts[1:, 0] -= totals[-1]
-            np.cumsum(counts.reshape(-1, n_classes), axis=0, out=counts.reshape(-1, n_classes))
-            left = np.take(counts, cut, axis=1)
-            w = weighted[f0:f1]
-            w[:] = left_n * _gini(left, left_n)
-            w += right_n * _gini(np.subtract(totals[kc], left, out=left), right_n)
-            w /= size[kc]
-        weighted[~valid] = np.inf
+            order = np.argsort(y[perm[f0:f1]], axis=1, kind="stable")
+            order += n_pos * np.arange(f1 - f0)[:, None]  # flat index: faster than 2-D
+            sums = np.empty((2, (f1 - f0) * n_pos), dtype=np.int64)
+            for flat, addend in zip(sums, by_place):
+                flat[order] = addend
+            del order
+            sums = sums.reshape(2, f1 - f0, n_pos)
+            # Taking the previous node's total off at each node's start
+            # restarts the running sums there.
+            sums[:, :, start[1:]] -= t2[:-1]
+            np.cumsum(sums, axis=2, out=sums)
+            l2, r2 = np.take(sums, cut, axis=2)  # sum L_c^2 and sum T_c * L_c
+            del sums
+            r2 *= -2
+            r2 += l2
+            r2 += t2[kc]  # sum R_c^2 = sum T_c^2 - 2 sum T_c * L_c + sum L_c^2
+            _screen(l2, r2, left_n, right_n, out=screen[f0:f1])
+            del l2, r2
+        screen[~valid] = np.inf
 
-        # Per node, the first minimum in (feature, cut) order.
-        first_cut = start - np.arange(len(size))
+        # Re-score, with the float expression, each valid cut whose screen
+        # lies within the margin of its node's lowest: every cut the float
+        # expression can rank first among them (see _MARGIN).
+        screen_low = np.minimum.reduceat(screen, first_cut, axis=1).min(axis=0)
+        cand = np.flatnonzero(valid & (screen <= (screen_low + (n_classes + 16) * _MARGIN)[kc]))
+        weighted = screen  # the screen's memory, no longer needed
+        weighted.fill(np.inf)
+        chunk = max(1, _BLOCK // n_classes)  # left counts held at a time
+        for c0 in range(0, len(cand), chunk):
+            cf, cc = np.divmod(cand[c0 : c0 + chunk], len(cut))
+            k = kc[cc]
+            # Each candidate counts only the positions past the previous
+            # candidate of its feature and node; running sums over those
+            # runs give its left counts.
+            end = cut[cc] + 1
+            begin = start[k]
+            run = (cf[1:] == cf[:-1]) & (k[1:] == k[:-1])
+            begin[1:][run] = end[:-1][run]
+            length = end - begin
+            owner = np.repeat(np.arange(len(cf)), length)
+            pos = np.arange(len(owner)) + np.repeat(begin - (np.cumsum(length) - length), length)
+            left = np.bincount(
+                owner * n_classes + y[perm[cf[owner], pos]], minlength=len(cf) * n_classes
+            ).reshape(-1, n_classes)
+            del owner, pos
+            firsts = np.flatnonzero(np.r_[True, ~run])
+            left[firsts[1:]] -= np.add.reduceat(left, firsts, axis=0)[:-1]
+            np.cumsum(left, axis=0, out=left)
+            ln, rn = left_n[cc], right_n[cc]
+            w = ln * _gini(left, ln)
+            w += rn * _gini(np.subtract(node_counts[k], left, out=left), rn)
+            w /= size[k]
+            weighted.reshape(-1)[cand[c0 : c0 + chunk]] = w
+
+        # Per node, the first minimum in (value, feature, cut) order.
         low_f = np.minimum.reduceat(weighted, first_cut, axis=1)
         low = low_f.min(axis=0)
         best_f = (low_f == low).argmax(axis=0)
@@ -276,8 +359,16 @@ def predict_batch(tree: DecisionTree, X) -> tuple[list[str], np.ndarray]:
     Row i of the (n, n_classes) probability matrix is its leaf's class
     counts normalized, indexed by tree.classes; label i is the argmax,
     with ties resolved to the class earliest in that canonical order.
+
+    Raises:
+        ValueError: X is not 2-D or has a non-finite value.
     """
-    rows = np.asarray(X, dtype=float).tolist()
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("X holds a non-finite value")
+    rows = X.tolist()
     counts = np.empty((len(rows), len(tree.classes)), dtype=np.int64)
     for i, x in enumerate(rows):
         node = tree.root
@@ -459,6 +550,10 @@ def run_classification(dataset, k: int = 5, seed: int = 0) -> dict:
     confusion_matrix (tree predictions summed over folds, class_order
     axes), per_class_precision and per_class_recall. Baselines are
     evaluated on the same fold splits, so comparisons are paired.
+
+    Raises:
+        ValueError: k is below 2.
+        ClassTooSmall: some class has fewer than k rows.
     """
     X = dataset.matrix()
     y = dataset.users

@@ -1,7 +1,10 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripkin import learn
 from tripkin.features import FEATURE_NAMES
@@ -73,6 +76,13 @@ class TestStratifiedKfold:
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
             stratified_kfold(["a"] * 4 + ["b"] * 30, k=5, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -2, 1])
+    def test_rejects_fewer_than_two_folds(self, k):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            stratified_kfold(["a"] * 10 + ["b"] * 10, k=k, seed=0)
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            run_classification(separable_dataset(n_per_user=10), k=k, seed=0)
 
 
 class TestTrainTree:
@@ -234,12 +244,12 @@ def oracle_case(rng, case):
     return X, y, max_depth, min_samples_split
 
 
-def check_random_cases():
+def check_random_cases(fit=train_tree):
     """Trees and predictions of 320 seeded cases against the oracles."""
     rng = np.random.default_rng(2024)
     for case in range(320):
         X, y, max_depth, min_samples_split = oracle_case(rng, case)
-        got = train_tree(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
+        got = fit(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
         want = cart_tree_per_feature(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
         assert got.classes == want.classes, case
         assert same_node(got.root, want.root), case
@@ -266,6 +276,76 @@ class TestTreeMatchesPerFeatureOracle:
         # Small blocks split each depth into many node x feature blocks.
         monkeypatch.setattr(learn, "_BLOCK", block)
         check_random_cases()
+
+    def test_rescoring_every_valid_cut_changes_no_tree(self, monkeypatch):
+        # An infinite margin sends every valid cut past the screen to the
+        # float expression; the screen must have kept every cut that could
+        # win, so each tree equals the one grown at the default margin.
+        rescored = {"default": 0, "every": 0}
+        gini = learn._gini
+
+        def counted(name):
+            def wrapped(counts, size):
+                rescored[name] += len(counts)
+                return gini(counts, size)
+
+            return wrapped
+
+        def both(X, y, **kwargs):
+            trees = {}
+            for name, margin in (("default", learn._MARGIN), ("every", np.inf)):
+                with monkeypatch.context() as m:
+                    m.setattr(learn, "_MARGIN", margin)
+                    m.setattr(learn, "_gini", counted(name))
+                    trees[name] = train_tree(X, y, **kwargs)
+            assert same_node(trees["every"].root, trees["default"].root)
+            return trees["every"]
+
+        check_random_cases(fit=both)
+        assert rescored["every"] > 2 * rescored["default"] > 0, rescored
+
+    def test_tied_cuts_each_rescored(self, monkeypatch):
+        # Integer-valued columns, every row twice, and column 1 a copy of
+        # column 0, which mostly decides the label: the root's best cut
+        # ties exactly between the two columns, so the root keeps at least
+        # 2 candidates, and the lower feature must win as in the oracle.
+        rng = np.random.default_rng(34)
+        X = rng.integers(0, 5, size=(60, 4)).astype(float)
+        X[:, 1] = X[:, 0]
+        X = np.vstack([X, X])
+        noisy = rng.uniform(size=60) < 0.3
+        codes = np.where(noisy, rng.integers(4, size=60), X[:60, 0].astype(int) % 4)
+        y = [f"u{c}" for c in codes] * 2
+        shapes = []
+        gini = learn._gini
+
+        def recorded(counts, size):
+            shapes.append(counts.shape)
+            return gini(counts, size)
+
+        with monkeypatch.context() as m:
+            m.setattr(learn, "_gini", recorded)
+            root = train_tree(X, y, max_depth=1).root
+        n_valid = sum(len(set(col)) - 1 for col in X.T.tolist())
+        # One call for the left and one for the right counts of the
+        # root's candidates: more than one, fewer than every valid cut.
+        assert len(shapes) == 2 and len(shapes[0]) == 2, shapes
+        assert 2 <= shapes[0][0] < n_valid, (shapes, n_valid)
+        assert root.feature_index == 0
+        assert same_node(root, cart_tree_per_feature(X, y, max_depth=1).root)
+        for block in (learn._BLOCK, 1):
+            monkeypatch.setattr(learn, "_BLOCK", block)
+            assert same_node(train_tree(X, y).root, cart_tree_per_feature(X, y).root), block
+
+    def test_hundred_classes(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        X = np.round(rng.normal(size=(2000, 6)), 2)
+        y = [f"u{c:03d}" for c in rng.integers(100, size=2000)]
+        assert len(set(y)) == 100
+        want = cart_tree_per_feature(X, y)
+        for block in (learn._BLOCK, 97):
+            monkeypatch.setattr(learn, "_BLOCK", block)
+            assert same_node(train_tree(X, y).root, want.root), block
 
     def test_few_distinct_values_column(self, monkeypatch):
         # Whole seconds over a narrow range, as duration_s is: long runs of
@@ -303,7 +383,47 @@ class TestTreeMatchesPerFeatureOracle:
         assert peaks["blocked"] <= peaks["oracle"], peaks
 
 
+def _class_counts():
+    # Left and right class counts of one cut, each side non-empty.
+    side = st.integers(0, 5000)
+    return st.lists(st.tuples(side, side), min_size=1, max_size=500).filter(
+        lambda pairs: all(sum(side) for side in zip(*pairs))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_counts())
+def test_float_expression_and_screen_within_their_bounds(pairs):
+    # The bounds _MARGIN's comment states, against exact rationals.
+    left, right = np.array(pairs).T
+    n_classes = len(pairs)
+    left_n, right_n = np.array([float(left.sum())]), np.array([float(right.sum())])
+    weighted = left_n * learn._gini(left[None], left_n)
+    weighted += right_n * learn._gini(right[None], right_n)
+    weighted /= left_n + right_n
+    sum_l2, sum_r2 = int((left**2).sum()), int((right**2).sum())
+    screen = learn._screen(np.array([sum_l2]), np.array([sum_r2]), left_n, right_n, np.empty(1))
+    n_l, n_r = int(left.sum()), int(right.sum())
+    exact = 1 - (Fraction(sum_l2, n_l) + Fraction(sum_r2, n_r)) / (n_l + n_r)
+    u = Fraction(1, 2**53)
+    float_bound = (n_classes + 6) * Fraction(105, 100) * u
+    screen_bound = 8 * u
+    assert abs(Fraction(float(weighted[0])) - exact) <= float_bound
+    assert abs(Fraction(float(screen[0])) - exact) <= screen_bound
+    assert (n_classes + 16) * Fraction(learn._MARGIN) > 2 * (float_bound + screen_bound)
+
+
 class TestPredict:
+    def test_rejects_malformed_rows(self):
+        tree = DecisionTree(
+            root=Split(0, 0.5, Leaf(np.array([1, 0])), Leaf(np.array([0, 1]))), classes=("A", "B")
+        )
+        with pytest.raises(ValueError, match="must be 2-D"):
+            predict_batch(tree, [0.0, 1.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                predict_batch(tree, [[0.0, 0.0], [bad, 0.0]])
+
     def test_leaf_probabilities(self):
         tree = DecisionTree(root=Leaf(np.array([3, 1])), classes=("A", "B"))
         (label,), (probs,) = predict_batch(tree, np.zeros((1, 10)))
