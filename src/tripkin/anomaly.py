@@ -20,7 +20,6 @@ all n rows are identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,28 +44,6 @@ class NoPositives(ValueError):
     """PR-AUC is undefined without at least one positive."""
 
 
-@dataclass(frozen=True)
-class InjectedDataset:
-    """The subject user's rows plus foreign rows flagged as anomalies."""
-
-    subject: str
-    normal_rows: np.ndarray
-    anomaly_rows: np.ndarray
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return np.vstack([self.normal_rows, self.anomaly_rows])
-
-    @property
-    def ground_truth(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                np.zeros(len(self.normal_rows), dtype=bool),
-                np.ones(len(self.anomaly_rows), dtype=bool),
-            ]
-        )
-
-
 class TrialResult(NamedTuple):
     """PR-AUC of the LOF and random scorers for one injection trial.
 
@@ -89,11 +66,13 @@ def anomaly_count(n_normal: int, rate: float = 0.03) -> int:
 
 def inject_anomalies(
     dataset, subject: str, rate: float = 0.03, seed: int | np.random.Generator = 0
-) -> InjectedDataset:
+) -> tuple[np.ndarray, int]:
     """Plant foreign trips into one user's trip set.
 
     All of the subject's rows become normals; the anomalies are sampled
     uniformly without replacement from the pooled rows of all other users.
+    Returns the subject's rows followed by the planted rows, and the
+    number of subject rows.
 
     Raises:
         UnknownUser: subject has no rows.
@@ -112,11 +91,7 @@ def inject_anomalies(
         )
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(donor_idx), size=n_anom, replace=False)
-    return InjectedDataset(
-        subject=subject,
-        normal_rows=X[subject_mask],
-        anomaly_rows=X[donor_idx[np.sort(picked)]],
-    )
+    return np.vstack([X[subject_mask], X[donor_idx[np.sort(picked)]]]), n_normal
 
 
 def standardize(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,19 +278,27 @@ def run_anomaly_experiment(
 
     Raises:
         UnknownUser: the dataset has no rows.
-        TooFewRows: some user's trial would have no more than k rows;
-            checked for every user before the first trial runs.
+        TooFewRows: some user's trial would have no more than k rows.
+        InsufficientDonors: the other users cannot supply some user's
+            anomalies.
+        Both are checked for every user before the first trial runs.
     """
     counts = dataset.user_counts()
     users = sorted(counts)
     if not users:
         raise UnknownUser("dataset has no rows")
     for user in users:
-        n_rows = counts[user] + anomaly_count(counts[user], rate)
+        n_anom = anomaly_count(counts[user], rate)
+        n_rows = counts[user] + n_anom
         if n_rows <= k:
             raise TooFewRows(
                 f"user {user!r}: LOF with k={k} needs more than {k} rows, "
                 f"a trial has {n_rows}"
+            )
+        donors = len(dataset.users) - counts[user]
+        if donors < n_anom:
+            raise InsufficientDonors(
+                f"user {user!r}: need {n_anom} donor rows, other users have {donors}"
             )
     trial_seeds = np.random.SeedSequence(seed).generate_state(
         len(users) * trials_per_user, dtype=np.uint64
@@ -326,18 +309,18 @@ def run_anomaly_experiment(
         for trial in range(trials_per_user):
             trial_seed = int(trial_seeds[u_idx * trials_per_user + trial])
             rng = np.random.default_rng(trial_seed)
-            injected = inject_anomalies(dataset, user, rate=rate, seed=rng)
-            standardized, _, _ = standardize(injected.vectors)
+            rows, n_normal = inject_anomalies(dataset, user, rate=rate, seed=rng)
+            standardized, _, _ = standardize(rows)
             lof = lof_scores(standardized, k=k)
-            truth = injected.ground_truth
+            truth = np.arange(len(rows)) >= n_normal
             random_scores = rng.uniform(size=len(truth))
             results.append(
                 TrialResult(
                     subject_user=user,
                     trial=trial,
                     seed=trial_seed,
-                    n_normal=len(injected.normal_rows),
-                    n_anomaly=len(injected.anomaly_rows),
+                    n_normal=n_normal,
+                    n_anomaly=len(rows) - n_normal,
                     pr_auc_lof=pr_auc(truth, lof),
                     pr_auc_random=pr_auc(truth, random_scores),
                 )

@@ -7,26 +7,24 @@ carry the experiment constants (5 folds, 30-trip minimum, 1.5 IQR
 fences, 3% injection rate, 10 trials per user, LOF k=20); flags override
 an optional JSON config file, which overrides the defaults.
 
-Exit codes: 0 success, 1 validation or metric failure, 2 input/IO error.
+Exit codes: 0 success, 1 validation or metric failure, 2 input error: any
+OS error, such as a missing input or an --out that names a file.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import sys
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import anomaly as anomaly_mod
 from . import features as features_mod
 from . import ingest, learn, synth
-from .features import FEATURE_NAMES
+from .features import FEATURE_NAMES, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -41,40 +39,25 @@ DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one subcommand invocation."""
-
-    seed: int
-    k_folds: int
-    min_trips: int
-    iqr_mult: float
-    rate: float
-    trials: int
-    lof_k: int
-    root: str | None = None
-    features: str | None = None
-    profiles: str | None = None
-    out: str = "."
-
-    def validate(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {self.seed}")
-        if self.k_folds < 2:
-            raise ValueError("--k-folds must be at least 2")
-        if self.min_trips < 1:
-            raise ValueError("--min-trips must be positive")
-        if not self.iqr_mult > 0:
-            raise ValueError("--iqr-mult must be positive")
-        if not 0.0 < self.rate < 1.0:
-            raise ValueError("--rate must be in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("--trials must be positive")
-        if self.lof_k < 1:
-            raise ValueError("--lof-k must be positive")
+def _validate(args: argparse.Namespace) -> None:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.k_folds < 2:
+        raise ValueError("--k-folds must be at least 2")
+    if args.min_trips < 1:
+        raise ValueError("--min-trips must be positive")
+    if not args.iqr_mult > 0:
+        raise ValueError("--iqr-mult must be positive")
+    if not 0.0 < args.rate < 1.0:
+        raise ValueError("--rate must be in (0, 1)")
+    if args.trials < 1:
+        raise ValueError("--trials must be positive")
+    if args.lof_k < 1:
+        raise ValueError("--lof-k must be positive")
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> None:
+    """Fill each DEFAULTS key the flags left unset from --config, else the default."""
     file_values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -90,19 +73,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float) if numeric else int):
                 kind = "a number" if numeric else "an integer"
                 raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
-    resolved = {}
     for key, default in DEFAULTS.items():
-        flag = getattr(args, key, None)
-        resolved[key] = flag if flag is not None else file_values.get(key, default)
-    cfg = RunConfig(
-        root=getattr(args, "root", None),
-        features=getattr(args, "features", None),
-        profiles=getattr(args, "profiles", None),
-        out=args.out,
-        **resolved,
-    )
-    cfg.validate()
-    return cfg
+        if getattr(args, key, None) is None:
+            setattr(args, key, file_values.get(key, default))
+    _validate(args)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -111,25 +85,17 @@ def _write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(path, buf.getvalue())
-
-
-def cmd_extract(cfg: RunConfig) -> int:
+def cmd_extract(args: argparse.Namespace) -> int:
     """Dataset root -> feature CSV, printing stage-by-stage drop counts.
 
     Users are assembled and featurized one at a time; ingest counts are tallied here."""
-    out_dir = Path(cfg.out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tally: Counter[str] = Counter()
 
     def user_trips() -> Iterator[ingest.Trip]:
-        for archive in ingest.iter_user_archives(cfg.root):
+        for archive in ingest.iter_user_archives(args.root):
             trips, skipped, duplicates = ingest.assemble_trips(archive)
             tally.update(users=bool(archive.labels), quarantined=len(archive.quarantined))
             tally.update(trips=len(trips), skipped=skipped, duplicates=duplicates)
@@ -137,7 +103,7 @@ def cmd_extract(cfg: RunConfig) -> int:
             yield from trips
 
     dataset = features_mod.build_feature_dataset(
-        user_trips(), min_trips=cfg.min_trips, iqr_multiplier=cfg.iqr_mult
+        user_trips(), min_trips=args.min_trips, iqr_multiplier=args.iqr_mult
     )
     features_mod.write_features_csv(dataset, out_dir / "features.csv")
 
@@ -154,21 +120,21 @@ def cmd_extract(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     """Feature CSV -> classification report, confusion matrix, scatter CSVs."""
-    dataset = features_mod.read_features_csv(cfg.features)
-    out_dir = Path(cfg.out)
+    dataset = features_mod.read_features_csv(args.features)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    report = learn.run_classification(dataset, k=cfg.k_folds, seed=cfg.seed)
+    report = learn.run_classification(dataset, k=args.k_folds, seed=args.seed)
     _write_text(out_dir / "classification_report.json", json.dumps(report, indent=2) + "\n")
     order = report["class_order"]
-    _write_csv(
+    write_csv(
         out_dir / "confusion_matrix.csv",
         ["true_user", "predicted_user", "count"],
         ((t, p, n) for t, row in zip(order, report["confusion_matrix"]) for p, n in zip(order, row)),
     )
-    _write_csv(
+    write_csv(
         out_dir / "per_class_metrics.csv",
         ["user_id", "trips", "precision", "recall"],
         (
@@ -182,7 +148,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     ):
         x = dataset.rows[:, FEATURE_NAMES.index(x_name)].tolist()
         y = dataset.rows[:, FEATURE_NAMES.index(y_name)].tolist()
-        _write_csv(
+        write_csv(
             out_dir / f"scatter_{x_name}_vs_{y_name}.csv",
             ["user_id", x_name, y_name],
             zip(dataset.users.tolist(), x, y),
@@ -198,22 +164,22 @@ def cmd_classify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_anomaly(cfg: RunConfig) -> int:
+def cmd_anomaly(args: argparse.Namespace) -> int:
     """Feature CSV -> per-trial PR-AUC CSV plus summary statistics."""
-    dataset = features_mod.read_features_csv(cfg.features)
-    out_dir = Path(cfg.out)
+    dataset = features_mod.read_features_csv(args.features)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     trials, summary, per_user = anomaly_mod.run_anomaly_experiment(
         dataset,
-        trials_per_user=cfg.trials,
-        rate=cfg.rate,
-        k=cfg.lof_k,
-        seed=cfg.seed,
+        trials_per_user=args.trials,
+        rate=args.rate,
+        k=args.lof_k,
+        seed=args.seed,
     )
-    _write_csv(out_dir / "anomaly_trials.csv", anomaly_mod.TrialResult._fields, trials)
+    write_csv(out_dir / "anomaly_trials.csv", anomaly_mod.TrialResult._fields, trials)
     _write_text(out_dir / "anomaly_summary.json", json.dumps(summary, indent=2) + "\n")
-    _write_csv(out_dir / "anomaly_per_user.csv", ["user_id", "mean_pr_auc_lof", "mean_pr_auc_random"], per_user)
+    write_csv(out_dir / "anomaly_per_user.csv", ["user_id", "mean_pr_auc_lof", "mean_pr_auc_random"], per_user)
 
     print(f"trials: {summary['n_trials']}")
     for scorer in ("lof", "random"):
@@ -226,12 +192,12 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(args: argparse.Namespace) -> int:
     """Profile JSON -> synthetic corpus in Geolife layout under --out."""
-    profiles = synth.load_profiles(cfg.profiles)
-    corpus = synth.generate_corpus(profiles, seed=cfg.seed)
-    synth.write_corpus(corpus, cfg.out)
-    print(f"wrote {len(corpus.trips)} trips for {len(corpus.profiles)} users under {cfg.out}")
+    profiles = synth.load_profiles(args.profiles)
+    corpus = synth.generate_corpus(profiles, seed=args.seed)
+    synth.write_corpus(corpus, args.out)
+    print(f"wrote {len(corpus.trips)} trips for {len(corpus.profiles)} users under {args.out}")
     return 0
 
 
@@ -282,9 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return args.func(cfg)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, json.JSONDecodeError) as exc:
+        _resolve_config(args)
+        return args.func(args)
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -280,15 +280,20 @@ def _format_duration(value: float) -> str:
 
 def write_features_csv(dataset: FeatureDataset, path: str | Path) -> None:
     """Write rows as CSV with full double precision (repr round-trip)."""
-    path = Path(path)
     columns = [dataset.users.tolist(), dataset.modalities.tolist()]
     for name, values in zip(FEATURE_NAMES, dataset.rows.T.tolist()):
         columns.append(map(_format_duration if name == "duration_s" else repr, values))
+    write_csv(path, CSV_COLUMNS, zip(*columns))
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Stream a header and rows as CSV to <name>.tmp, then rename it over path."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(zip(*columns))
+        writer.writerow(header)
+        writer.writerows(rows)
     tmp.replace(path)
 
 

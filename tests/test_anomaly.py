@@ -46,17 +46,19 @@ class TestInjection:
 
     def test_injection_shape(self):
         dataset = blob_dataset((2.0, 20.0), n_per_user=100)
-        injected = inject_anomalies(dataset, "000", seed=1)
-        assert len(injected.normal_rows) == 100
-        assert len(injected.anomaly_rows) == 3
-        assert injected.ground_truth.sum() == 3
-        assert injected.ground_truth[:100].sum() == 0
+        rows, n_normal = inject_anomalies(dataset, "000", seed=1)
+        truth = np.arange(len(rows)) >= n_normal
+        assert n_normal == 100
+        assert len(rows) - n_normal == 3
+        assert truth.sum() == 3
+        assert truth[:100].sum() == 0
+        assert np.array_equal(rows[:n_normal], dataset.rows[dataset.users == "000"])
 
     def test_no_anomaly_from_subject(self):
         dataset = blob_dataset((0.0, 1000.0), n_per_user=50)
-        injected = inject_anomalies(dataset, "000", seed=2)
+        rows, n_normal = inject_anomalies(dataset, "000", seed=2)
         # The subject blob sits near 0; donors near 1000 are unmistakable.
-        assert np.all(np.abs(injected.anomaly_rows) > 500)
+        assert np.all(np.abs(rows[n_normal:]) > 500)
 
     def test_unknown_user(self):
         dataset = blob_dataset((2.0, 20.0), n_per_user=40)
@@ -76,9 +78,9 @@ class TestInjection:
 
     def test_deterministic_under_seed(self):
         dataset = blob_dataset((2.0, 20.0, 50.0), n_per_user=64)
-        a = inject_anomalies(dataset, "001", seed=7)
-        b = inject_anomalies(dataset, "001", seed=7)
-        assert np.array_equal(a.anomaly_rows, b.anomaly_rows)
+        a, n_a = inject_anomalies(dataset, "001", seed=7)
+        b, n_b = inject_anomalies(dataset, "001", seed=7)
+        assert np.array_equal(a[n_a:], b[n_b:])
 
 
 class TestStandardize:
@@ -375,6 +377,26 @@ class TestExperiment:
         dataset = blob_dataset((2.0, 20.0), n_per_user=40, seed=17)
         results, _, _ = run_anomaly_experiment(dataset, trials_per_user=2, seed=18)
         r = results[0]
-        replay = inject_anomalies(dataset, r.subject_user, seed=np.random.default_rng(r.seed))
-        standardized, _, _ = standardize(replay.vectors)
-        assert pr_auc(replay.ground_truth, lof_scores(standardized, k=20)) == r.pr_auc_lof
+        rows, n_normal = inject_anomalies(dataset, r.subject_user, seed=np.random.default_rng(r.seed))
+        standardized, _, _ = standardize(rows)
+        truth = np.arange(len(rows)) >= n_normal
+        assert pr_auc(truth, lof_scores(standardized, k=20)) == r.pr_auc_lof
+
+    def test_too_few_donors_fails_before_any_trial(self, monkeypatch):
+        # "a" could run its trials (15 donor rows of 200); "b" needs 100 of 30.
+        rng = np.random.default_rng(20)
+        rows, users = [], []
+        for uid, n in (("a", 30), ("b", 200)):
+            for _ in range(n):
+                values = rng.normal(5.0, 1.0, size=len(FEATURE_NAMES))
+                values[0] = abs(values[0]) + 1.0  # duration_s
+                rows.append(values)
+                users.append(uid)
+        dataset = feature_dataset(rows, users)
+        calls = []
+        monkeypatch.setattr(
+            "tripkin.anomaly.lof_scores", lambda *a, **kw: calls.append(1)
+        )
+        with pytest.raises(InsufficientDonors, match="'b'"):
+            run_anomaly_experiment(dataset, trials_per_user=10, rate=0.5, k=5, seed=0)
+        assert calls == []

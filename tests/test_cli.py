@@ -365,6 +365,25 @@ def test_negative_seed_exits_1_creating_nothing(features_csv, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize("command", ["extract", "classify", "anomaly", "synth"])
+def test_out_on_a_file_exits_2_creating_nothing(corpus_dir, features_csv, tmp_path, capsys, command, under):
+    source = {
+        "extract": ["--root", str(corpus_dir / "raw")],
+        "synth": ["--profiles", str(make_profiles(tmp_path / "p.json"))],
+    }.get(command, ["--features", str(features_csv)])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, *source, "--out", str(blocker / "out" if under else blocker)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("input error: ") and str(blocker) in stderr and stderr.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "keep\n"
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = "import sys, tripkin.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
