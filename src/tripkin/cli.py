@@ -2,7 +2,9 @@
 
 Every subcommand is deterministic given its inputs and --seed. The
 command reports and features.csv are written atomically (temp file, then
-rename); synth writes its corpus files in place. Defaults
+rename); synth writes its corpus files in place. extract, classify and
+anomaly create --out only once their result is computed, so a run that
+fails before that leaves no directory behind. Defaults
 carry the experiment constants (5 folds, 30-trip minimum, 1.5 IQR
 fences, 3% injection rate, 10 trials per user, LOF k=20); flags override
 an optional JSON config file, which overrides the defaults.
@@ -89,22 +91,21 @@ def cmd_extract(args: argparse.Namespace) -> int:
     """Dataset root -> feature CSV, printing stage-by-stage drop counts.
 
     Users are assembled and featurized one at a time; ingest counts are tallied here."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     tally: Counter[str] = Counter()
 
-    def user_trips() -> Iterator[ingest.Trip]:
+    def user_trips() -> Iterator[list[ingest.Trip]]:
         for archive in ingest.iter_user_archives(args.root):
             trips, skipped, duplicates = ingest.assemble_trips(archive)
             tally.update(users=bool(archive.labels), quarantined=len(archive.quarantined))
             tally.update(trips=len(trips), skipped=skipped, duplicates=duplicates)
             log.info("user %s: %d trips (%d labels skipped)", archive.user_id, len(trips), skipped)
-            yield from trips
+            yield trips
 
     dataset = features_mod.build_feature_dataset(
         user_trips(), min_trips=args.min_trips, iqr_multiplier=args.iqr_mult
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     features_mod.write_features_csv(dataset, out_dir / "features.csv")
 
     prov = dataset.provenance
@@ -123,10 +124,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     """Feature CSV -> classification report, confusion matrix, scatter CSVs."""
     dataset = features_mod.read_features_csv(args.features)
+    report = learn.run_classification(dataset, k=args.k_folds, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    report = learn.run_classification(dataset, k=args.k_folds, seed=args.seed)
     _write_text(out_dir / "classification_report.json", json.dumps(report, indent=2) + "\n")
     order = report["class_order"]
     write_csv(
@@ -167,9 +167,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_anomaly(args: argparse.Namespace) -> int:
     """Feature CSV -> per-trial PR-AUC CSV plus summary statistics."""
     dataset = features_mod.read_features_csv(args.features)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     trials, summary, per_user = anomaly_mod.run_anomaly_experiment(
         dataset,
         trials_per_user=args.trials,
@@ -177,6 +174,8 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
         k=args.lof_k,
         seed=args.seed,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "anomaly_trials.csv", anomaly_mod.TrialResult._fields, trials)
     _write_text(out_dir / "anomaly_summary.json", json.dumps(summary, indent=2) + "\n")
     write_csv(out_dir / "anomaly_per_user.csv", ["user_id", "mean_pr_auc_lof", "mean_pr_auc_random"], per_user)

@@ -13,8 +13,7 @@ import csv
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from itertools import groupby
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,17 +54,14 @@ class IqrBounds:
     upper: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Provenance:
     """Counts of the trips each feature-stage reduction dropped."""
 
     too_few_points: int = 0
     iqr_dropped: int = 0
-    iqr_dropped_per_feature: dict[str, int] = field(default_factory=dict)
     below_min_trips_rows: int = 0
     users_dropped: int = 0
-    per_user_before: dict[str, int] = field(default_factory=dict)
-    per_user_after: dict[str, int] = field(default_factory=dict)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -106,10 +102,6 @@ class FeatureDataset:
     def matrix(self) -> np.ndarray:
         """The read-only (n_rows, 10) feature matrix, rows itself."""
         return self.rows
-
-    def select(self, keep: np.ndarray) -> FeatureDataset:
-        """The rows where the boolean mask keep is true, in order; empty provenance."""
-        return FeatureDataset(self.rows[keep], self.users[keep], self.modalities[keep])
 
     def user_counts(self) -> dict[str, int]:
         """Rows per user, in order of first appearance."""
@@ -208,69 +200,53 @@ def compute_iqr_bounds(matrix, multiplier: float = 1.5) -> IqrBounds:
     return IqrBounds(q1=q1, q3=q3, lower=q1 - multiplier * iqr, upper=q3 + multiplier * iqr)
 
 
-def filter_outlier_trips(
-    dataset: FeatureDataset, bounds: IqrBounds
-) -> tuple[FeatureDataset, dict[str, int]]:
-    """Keep rows whose features all lie inside the closed per-feature fences.
-
-    Returns the retained rows (order preserved) and per-feature drop
-    counts; a row outside several fences increments each of them.
-    """
-    outside = (dataset.rows < bounds.lower) | (dataset.rows > bounds.upper)
-    drops = dict(zip(FEATURE_NAMES, outside.sum(axis=0).tolist()))
-    return dataset.select(~outside.any(axis=1)), drops
+def filter_outlier_trips(rows: np.ndarray, bounds: IqrBounds) -> np.ndarray:
+    """Boolean mask of the rows whose features all lie inside the closed per-feature fences."""
+    return ((rows >= bounds.lower) & (rows <= bounds.upper)).all(axis=1)
 
 
-def filter_users(dataset: FeatureDataset, min_trips: int = 30) -> FeatureDataset:
-    """Keep only rows belonging to users with at least min_trips rows."""
-    before = dataset.user_counts()
-    keep_users = sorted(uid for uid, n in before.items() if n >= min_trips)
-    kept = dataset.select(np.isin(dataset.users, keep_users))
-    kept.provenance = Provenance(
-        below_min_trips_rows=len(dataset.rows) - len(kept.rows),
-        users_dropped=len(before) - len(keep_users),
-        per_user_before=dict(sorted(before.items())),
-        per_user_after={uid: before[uid] for uid in keep_users},
-    )
-    return kept
+def filter_users(users: np.ndarray, min_trips: int = 30) -> np.ndarray:
+    """Boolean mask of the rows whose user owns at least min_trips of the rows."""
+    ids = users.tolist()
+    counts = Counter(ids)
+    return np.array([counts[uid] >= min_trips for uid in ids], dtype=bool)
 
 
 def build_feature_dataset(
-    trips: Iterable[Trip], min_trips: int = 30, iqr_multiplier: float = 1.5
+    user_trips: Iterable[Sequence[Trip]], min_trips: int = 30, iqr_multiplier: float = 1.5
 ) -> FeatureDataset:
     """Full reduction: extract features, drop IQR outliers, enforce min trips.
 
-    trips is iterated once, so a generator can supply them a user at a
-    time: each user's run is featurized in one call and only the feature
-    rows are kept. Trips with fewer than 3 points are dropped and counted,
-    mirroring the removal of corrupted recordings.
+    user_trips yields each user's trips, as assemble_trips returns them. It
+    is iterated once, so a generator can supply them a user at a time: each
+    user's trips are featurized in one call and only the feature rows are
+    kept. Trips with fewer than 3 points are dropped and counted, mirroring
+    the removal of corrupted recordings. The user filter counts only the
+    rows inside the fences.
     """
     blocks, users, modalities = [], [], []
     n_short = 0
-    for user_id, run in groupby(trips, key=lambda trip: trip.user_id):
-        run = list(run)
-        usable = [trip for trip in run if len(trip.points) >= 3]
-        n_short += len(run) - len(usable)
+    for trips in user_trips:
+        usable = [trip for trip in trips if len(trip.points) >= 3]
+        n_short += len(trips) - len(usable)
         blocks.append(extract_features(usable))
-        users += [user_id] * len(usable)
+        users += [trip.user_id for trip in usable]
         modalities += [trip.modality for trip in usable]
-        # Collecting the next run reads one user ahead; hold only that one.
-        del run, usable
     rows = np.concatenate(blocks) if blocks else np.empty((0, len(FEATURE_NAMES)))
-    featurized = FeatureDataset(rows, users, modalities)
+    users = np.array(users, dtype=object)
 
+    inside = np.ones(len(rows), dtype=bool)
     if len(rows):
-        bounds = compute_iqr_bounds(featurized.rows, multiplier=iqr_multiplier)
-        kept, per_feature = filter_outlier_trips(featurized, bounds)
-    else:
-        kept, per_feature = featurized, {name: 0 for name in FEATURE_NAMES}
-
-    dataset = filter_users(kept, min_trips=min_trips)
-    prov = dataset.provenance
-    prov.too_few_points = n_short
-    prov.iqr_dropped = len(featurized.rows) - len(kept.rows)
-    prov.iqr_dropped_per_feature = per_feature
-    return dataset
+        inside = filter_outlier_trips(rows, compute_iqr_bounds(rows, multiplier=iqr_multiplier))
+    keep = inside.copy()
+    keep[inside] = filter_users(users[inside], min_trips=min_trips)
+    provenance = Provenance(
+        too_few_points=n_short,
+        iqr_dropped=len(rows) - int(inside.sum()),
+        below_min_trips_rows=int(inside.sum() - keep.sum()),
+        users_dropped=len(set(users[inside].tolist())) - len(set(users[keep].tolist())),
+    )
+    return FeatureDataset(rows[keep], users[keep], np.array(modalities, dtype=object)[keep], provenance)
 
 
 def _format_duration(value: float) -> str:

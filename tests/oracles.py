@@ -153,6 +153,43 @@ def quantile_interpolated(values, q: float) -> float:
     return v[lo] * (1.0 - frac) + v[lo + 1] * frac
 
 
+def reduce_trips_loop(user_trips, min_trips: int, iqr_multiplier: float):
+    """build_feature_dataset's reductions, one trip and one fence at a time.
+
+    A trip of 3 or more points becomes its extract_features row; a row is
+    kept if it lies inside every compute_iqr_bounds fence and its user keeps
+    at least min_trips such rows. Those two functions are checked against
+    their own oracles (C2, C3); this one replaces only the reduction.
+    Returns (rows, users, modalities, (too_few_points, iqr_dropped,
+    below_min_trips_rows, users_dropped)).
+    """
+    from tripkin.features import compute_iqr_bounds, extract_features
+
+    records, short = [], 0
+    for trips in user_trips:
+        for trip in trips:
+            if len(trip.points) < 3:
+                short += 1
+            else:
+                records.append((trip.user_id, trip.modality, extract_features([trip])[0].tolist()))
+    inside = records
+    if records:
+        bounds = compute_iqr_bounds([row for _, _, row in records], multiplier=iqr_multiplier)
+        fences = list(zip(bounds.lower.tolist(), bounds.upper.tolist()))
+        inside = [rec for rec in records if all(lo <= v <= hi for v, (lo, hi) in zip(rec[2], fences))]
+    per_user: dict[str, int] = {}
+    for user, _, _ in inside:
+        per_user[user] = per_user.get(user, 0) + 1
+    kept = [rec for rec in inside if per_user[rec[0]] >= min_trips]
+    counts = (
+        short,
+        len(records) - len(inside),
+        len(inside) - len(kept),
+        sum(1 for n in per_user.values() if n < min_trips),
+    )
+    return [row for _, _, row in kept], [u for u, _, _ in kept], [m for _, m, _ in kept], counts
+
+
 def macro_f1_confusion(y_true, y_pred) -> float:
     """Macro F1 recomputed from an explicit confusion-count table."""
     cells: dict[tuple[str, str], int] = {}

@@ -16,7 +16,7 @@ import pytest
 
 from tripkin import anomaly as anomaly_mod
 from tripkin import features as features_mod
-from tripkin import ingest, learn, synth
+from tripkin import cli, ingest, learn, synth
 from tripkin.features import FEATURE_NAMES
 from tripkin.geokinematics import EARTH_RADIUS_M, haversine_distance
 
@@ -88,9 +88,9 @@ def test_c3_quantile_and_iqr_oracle():
     rows.append(list(odd.values()))
     dataset = feature_dataset(rows, ["u"] * 7)
     bounds = features_mod.compute_iqr_bounds(dataset.rows)
-    kept, _ = features_mod.filter_outlier_trips(dataset, bounds)
-    assert len(kept.rows) == 6
-    assert (kept.rows[:, FEATURE_NAMES.index("std_speed")] == 1.0).all()
+    kept = dataset.rows[features_mod.filter_outlier_trips(dataset.rows, bounds)]
+    assert len(kept) == 6
+    assert (kept[:, FEATURE_NAMES.index("std_speed")] == 1.0).all()
     ok("C3 quantile oracle (500 arrays) and degenerate IQR")
 
 
@@ -248,14 +248,31 @@ def test_c8_determinism():
     ok("C8 determinism (bit-identical reports under a fixed seed)")
 
 
+def _load_dataset(root):
+    """The reduced dataset of a Geolife-layout root, one user's trips at a time."""
+    user_trips = (ingest.assemble_trips(archive)[0] for archive in ingest.iter_user_archives(root))
+    return features_mod.build_feature_dataset(user_trips, min_trips=30)
+
+
+def test_geolife_loader_on_a_synthetic_corpus(tmp_path):
+    # The Geolife fixture below is skipped offline; its loader must still
+    # give what `tripkin extract` writes for the same root.
+    profiles = [
+        synth.UserProfile(f"{i:03d}", speed, 0.3, 0.02, trips=34, points_per_trip=12, sampling_period=10.0)
+        for i, speed in enumerate((4.0, 15.0, 30.0))
+    ]
+    synth.write_corpus(synth.generate_corpus(profiles, seed=9), tmp_path / "raw")
+    assert cli.main(["extract", "--root", str(tmp_path / "raw"), "--out", str(tmp_path / "out")]) == 0
+    written = features_mod.read_features_csv(tmp_path / "out" / "features.csv")
+    loaded = _load_dataset(tmp_path / "raw")
+    assert loaded.rows.tobytes() == written.rows.tobytes() and len(loaded.rows) >= 90
+    assert loaded.users.tolist() == written.users.tolist()
+    assert loaded.modalities.tolist() == written.modalities.tolist()
+
+
 @pytest.fixture(scope="module")
 def geolife_dataset():
-    trips = (
-        trip
-        for archive in ingest.iter_user_archives(GEOLIFE_ROOT)
-        for trip in ingest.assemble_trips(archive)[0]
-    )
-    return features_mod.build_feature_dataset(trips, min_trips=30)
+    return _load_dataset(GEOLIFE_ROOT)
 
 
 @needs_geolife

@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -12,6 +14,9 @@ from tripkin.anomaly import TrialResult, run_anomaly_experiment
 from tripkin.cli import main
 from tripkin.features import FEATURE_NAMES, read_features_csv
 from tripkin.learn import run_classification
+
+
+STAMP = "%Y/%m/%d %H:%M:%S"
 
 
 def make_profiles(path, n_users=3, trips=36, points_per_trip=20):
@@ -113,6 +118,36 @@ class TestExtractCommand:
     def test_missing_root_exits_2(self, tmp_path, capsys):
         assert main(["extract", "--root", str(tmp_path / "absent"), "--out", str(tmp_path)]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_summary_adds_up_to_the_written_rows(self, tmp_path, capsys):
+        # Four users, the last with 10 trips, and one label shrunk to catch
+        # exactly 2 fixes: every drop stage of the summary is nonzero.
+        profiles = make_profiles(tmp_path / "p.json", n_users=4)
+        entries = json.loads(profiles.read_text())
+        entries[3]["trips"] = 10
+        profiles.write_text(json.dumps(entries))
+        root = tmp_path / "raw"
+        assert main(["synth", "--profiles", str(profiles), "--out", str(root), "--seed", "1"]) == 0
+        labels = root / "Data" / "000" / "labels.txt"
+        header, first, *rest = labels.read_text().splitlines(keepends=True)
+        start, _, mode = first.split("\t")
+        end = datetime.strptime(start, STAMP) + timedelta(seconds=10)  # two fixes, 10 s apart
+        labels.write_text("".join([header, "\t".join([start, f"{end:{STAMP}}", mode]), *rest]))
+        capsys.readouterr()
+        assert main(["extract", "--root", str(root), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+
+        def count(pattern):
+            return int(re.search(pattern, out).group(1))
+
+        assembled = count(r"trips assembled: +(\d+)")
+        too_few = count(r"dropped, too few points: +(\d+)")
+        iqr = count(r"dropped, IQR outlier: +(\d+)")
+        below = count(r"dropped, user below minimum: (\d+) rows / 1 users")
+        final = count(r"final: (\d+) trips over 3 users")
+        assert too_few == 1 and iqr > 0 and below > 0
+        assert assembled - too_few - iqr - below == final
+        assert final == len((tmp_path / "out" / "features.csv").read_text().splitlines()) - 1
 
     def test_reextract_is_identical(self, corpus_dir, features_csv):
         out2 = corpus_dir / "extracted-again"
@@ -341,7 +376,7 @@ class TestAnomalyCommand:
         stdout, stderr = capsys.readouterr()
         assert stdout == ""
         assert stderr.startswith("error: column ") and stderr.count("\n") == 1
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_invalid_rate_exits_1(self, features_csv, tmp_path):
         rc = main(["anomaly", "--features", str(features_csv), "--out", str(tmp_path), "--rate", "1.5"])
@@ -352,7 +387,7 @@ class TestAnomalyCommand:
         rc = main(["anomaly", "--features", str(features_csv), "--out", str(out), "--lof-k", "200"])
         assert rc == 1
         assert "k=200" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["classify", "anomaly", "synth"])
@@ -382,6 +417,22 @@ def test_out_on_a_file_exits_2_creating_nothing(corpus_dir, features_csv, tmp_pa
     assert stderr.startswith("input error: ") and str(blocker) in stderr and stderr.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before
     assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", ["extract", "classify"])
+def test_failed_command_creates_no_out(tmp_path, capsys, command):
+    if command == "extract":
+        source, code, message = ["--root", str(tmp_path / "missing")], 2, "input error: no Data/ directory under "
+    else:
+        header_only = tmp_path / "features.csv"
+        header_only.write_text(",".join(("user_id", "modality") + FEATURE_NAMES) + "\n")
+        source, code, message = ["--features", str(header_only)], 1, "error: no training rows\n"
+    out = tmp_path / "new" / "out"
+    capsys.readouterr()
+    assert main([command, *source, "--out", str(out)]) == code
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith(message)
+    assert not (tmp_path / "new").exists()
 
 
 def test_importing_the_cli_loads_no_scipy():

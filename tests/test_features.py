@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from tripkin.ingest import Trip
 from tripkin.synth import UserProfile, generate_trip
 
 from helpers import equator_trip, feature_dataset, features_of, random_trips
-from oracles import naive_trip_features, quantile_interpolated
+from oracles import naive_trip_features, quantile_interpolated, reduce_trips_loop
 
 
 def make_row(**overrides) -> list[float]:
@@ -37,6 +38,11 @@ def make_row(**overrides) -> list[float]:
 
 def make_dataset(rows, users=None) -> FeatureDataset:
     return feature_dataset(rows, users if users is not None else ["000"] * len(rows))
+
+
+def _outside_features(row, bounds) -> list[str]:
+    """Names of the features on which row lies outside its fences."""
+    return [name for name, v, lo, hi in zip(FEATURE_NAMES, row, bounds.lower, bounds.upper) if not lo <= v <= hi]
 
 
 class TestExtractFeatures:
@@ -215,8 +221,7 @@ class TestIqrBounds:
         bounds = compute_iqr_bounds(rows)
         j = FEATURE_NAMES.index("min_speed")
         assert bounds.lower[j] == bounds.upper[j] == 0.0
-        kept, _ = filter_outlier_trips(make_dataset(rows), bounds)
-        assert len(kept.rows) == 10
+        assert filter_outlier_trips(np.array(rows), bounds).tolist() == [True] * 10
 
     def test_two_values(self):
         rows = [make_row(max_speed=0.0), make_row(max_speed=10.0)]
@@ -239,18 +244,15 @@ class TestFilterOutlierTrips:
         bounds = compute_iqr_bounds(rows)
         j = FEATURE_NAMES.index("duration_s")
         assert bounds.upper[j] == pytest.approx(35.0)
-        kept, drops = filter_outlier_trips(make_dataset(rows), bounds)
-        assert len(kept.rows) == 5
-        assert sum(drops.values()) == 0
+        assert filter_outlier_trips(np.array(rows), bounds).tolist() == [True] * 5
 
     def test_one_feature_above_upper_drops_row(self):
         rows = [make_row(max_speed=float(v)) for v in range(1, 21)] + [
             make_row(max_speed=1e6)
         ]
         bounds = compute_iqr_bounds(rows)
-        kept, drops = filter_outlier_trips(make_dataset(rows), bounds)
-        assert len(kept.rows) == 20
-        assert drops["max_speed"] == 1
+        assert filter_outlier_trips(np.array(rows), bounds).tolist() == [True] * 20 + [False]
+        assert _outside_features(rows[-1], bounds) == ["max_speed"]
 
     def test_planted_extremes_are_exactly_the_drops(self):
         base = [make_row(mean_speed=10.0 + i / 19.0) for i in range(20)]
@@ -263,55 +265,75 @@ class TestFilterOutlierTrips:
             make_row(mean_speed=10.5, mean_abs_accel=1e5),
         ]
         rows = base + planted
+        users = np.array(base_users + ["bad0", "bad1", "bad2"], dtype=object)
         bounds = compute_iqr_bounds(rows)
-        kept, drops = filter_outlier_trips(make_dataset(rows, base_users + ["bad0", "bad1", "bad2"]), bounds)
-        assert kept.users.tolist() == base_users
-        assert drops["mean_speed"] == 1
-        assert drops["std_speed"] == 1
-        assert drops["mean_abs_accel"] == 1
-        assert sum(drops.values()) == 3
+        keep = filter_outlier_trips(np.array(rows), bounds)
+        assert users[keep].tolist() == base_users
+        assert [_outside_features(row, bounds) for row in planted] == [
+            ["mean_speed"], ["std_speed"], ["mean_abs_accel"]
+        ]
 
     def test_degenerate_iqr_keeps_only_exact_q1(self):
         rows = [make_row(std_accel=1.0)] * 4 + [make_row(std_accel=1.0 + 1e-9)]
         bounds = compute_iqr_bounds(rows)
-        kept, _ = filter_outlier_trips(make_dataset(rows), bounds)
-        assert len(kept.rows) == 4
-        assert (kept.rows[:, FEATURE_NAMES.index("std_accel")] == 1.0).all()
+        kept = np.array(rows)[filter_outlier_trips(np.array(rows), bounds)]
+        assert len(kept) == 4
+        assert (kept[:, FEATURE_NAMES.index("std_accel")] == 1.0).all()
 
     def test_subset_and_order_preserved(self):
         rows = [make_row(max_speed=float(i % 7)) for i in range(30)]
         ids = [f"{i:03d}" for i in range(30)]
         bounds = compute_iqr_bounds(rows)
-        kept, _ = filter_outlier_trips(make_dataset(rows, ids), bounds)
-        kept_ids = kept.users.tolist()
+        keep = filter_outlier_trips(np.array(rows), bounds)
+        assert keep.shape == (30,) and keep.dtype == bool
+        kept_ids = np.array(ids, dtype=object)[keep].tolist()
         assert kept_ids == [i for i in ids if i in set(kept_ids)]
 
 
 class TestFilterUsers:
     def test_threshold_edge(self):
-        dataset = filter_users(make_dataset([make_row()] * 59, ["a"] * 29 + ["b"] * 30), min_trips=30)
+        users = np.array(["a"] * 29 + ["b"] * 30, dtype=object)
+        keep = filter_users(users, min_trips=30)
+        assert keep.tolist() == [False] * 29 + [True] * 30
+        assert set(users[keep]) == {"b"}
+        # Identical trips sit inside the fences, so only the user filter drops.
+        trip = equator_trip([5.0, 6.0, 5.5])
+        dataset = build_feature_dataset(
+            [[replace(trip, user_id="a")] * 29, [replace(trip, user_id="b")] * 30], min_trips=30
+        )
         assert set(dataset.user_counts()) == {"b"}
         assert dataset.provenance.below_min_trips_rows == 29
         assert dataset.provenance.users_dropped == 1
 
     def test_two_users_kept(self):
-        dataset = filter_users(make_dataset([make_row()] * 61, ["a"] * 30 + ["b"] * 31), min_trips=30)
-        assert len(dataset.rows) == 61
-        assert dataset.user_counts() == {"a": 30, "b": 31}
+        keep = filter_users(np.array(["a"] * 30 + ["b"] * 31, dtype=object), min_trips=30)
+        assert keep.tolist() == [True] * 61
 
     def test_idempotent(self):
-        rows = [make_row(duration_s=float(i)) for i in range(1, 48)]
-        once = filter_users(make_dataset(rows, ["a"] * 35 + ["b"] * 12), min_trips=30)
-        twice = filter_users(once, min_trips=30)
-        assert np.array_equal(twice.rows, once.rows)
-        assert twice.users.tolist() == once.users.tolist() == ["a"] * 35
+        users = np.array(["a"] * 35 + ["b"] * 12, dtype=object)
+        once = filter_users(users, min_trips=30)
+        twice = filter_users(users[once], min_trips=30)
+        assert twice.all()
+        assert users[once].tolist() == ["a"] * 35
+
+
+@st.composite
+def user_streams(draw):
+    """0-4 users' trip lists of 0-9 trips each; some trips have only 2 points, some extreme speeds."""
+    speeds = st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 400.0])
+    streams = []
+    for u in range(draw(st.integers(0, 4))):
+        trips = draw(st.lists(st.tuples(st.lists(speeds, min_size=1, max_size=5), st.sampled_from(["walk", "bus"])),
+                              max_size=9))
+        streams.append([equator_trip(v, user_id=f"{u:03d}", modality=mode) for v, mode in trips])
+    return streams
 
 
 class TestPipeline:
     def test_counts_short_trips(self):
         trips = [equator_trip([5.0, 6.0, 5.5], user_id="a")] * 31
         trips.append(equator_trip([5.0], user_id="a"))  # two points only
-        dataset = build_feature_dataset(trips, min_trips=30)
+        dataset = build_feature_dataset([trips], min_trips=30)
         assert dataset.provenance.too_few_points == 1
         assert len(dataset.rows) == 31
 
@@ -320,7 +342,7 @@ class TestPipeline:
         # removed by the fences first, and the user keeps >= 30 rows.
         trips = [equator_trip([5.0, 6.0, 5.0 + i * 1e-3], user_id="a") for i in range(31)]
         trips.append(equator_trip([5.0, 500.0, 5.0], user_id="a"))
-        dataset = build_feature_dataset(trips, min_trips=30)
+        dataset = build_feature_dataset([trips], min_trips=30)
         assert dataset.provenance.iqr_dropped == 1
         assert len(dataset.rows) == 31
 
@@ -331,8 +353,7 @@ class TestPipeline:
         for u in range(n_users):
             walk = 30.0 + np.cumsum(np.random.default_rng(u).normal(scale=1e-5, size=(2, trips * fixes)), axis=1)
             track = Track(np.arange(trips * fixes) * 2, *walk)
-            user_trips = [Trip(f"{u:03d}", "walk", track[i * fixes : (i + 1) * fixes]) for i in range(trips)]
-            yield from user_trips
+            yield [Trip(f"{u:03d}", "walk", track[i * fixes : (i + 1) * fixes]) for i in range(trips)]
 
     @classmethod
     def _peak_bytes(cls, n_users):
@@ -343,11 +364,22 @@ class TestPipeline:
         finally:
             tracemalloc.stop()
 
+    @settings(max_examples=200, deadline=None)
+    @given(user_streams(), st.integers(1, 6), st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]))
+    def test_matches_the_plain_loop_reduction(self, user_trips, min_trips, iqr_multiplier):
+        dataset = build_feature_dataset(iter(user_trips), min_trips=min_trips, iqr_multiplier=iqr_multiplier)
+        rows, users, modalities, counts = reduce_trips_loop(user_trips, min_trips, iqr_multiplier)
+        assert dataset.rows.tobytes() == np.array(rows, dtype=float).reshape(-1, len(FEATURE_NAMES)).tobytes()
+        assert dataset.users.tolist() == users
+        assert dataset.modalities.tolist() == modalities
+        prov = dataset.provenance
+        assert (prov.too_few_points, prov.iqr_dropped, prov.below_min_trips_rows, prov.users_dropped) == counts
+
     def test_holds_at_most_two_users_of_a_stream(self):
         self._peak_bytes(1)  # first-use imports
         two, five = self._peak_bytes(2), self._peak_bytes(5)
-        # Ending one user's run reads the next user's first trip, so two
-        # users are live at once. Were a third kept live as well, five
+        # The previous user's list is still bound while the stream builds
+        # the next, so two users are live at once. Were a third as well, five
         # users would peak at about 1.24 times two users.
         assert five < 1.1 * two, (two, five)
 
@@ -381,10 +413,8 @@ class TestFeatureDataset:
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
-        trips = random_trips(40, seed=9)
-        for i, trip in enumerate(trips):
-            object.__setattr__(trip, "user_id", f"{i % 3:03d}")
-        extracted = build_feature_dataset(trips, min_trips=1, iqr_multiplier=1e9)
+        trips = [replace(trip, user_id=f"{i % 3:03d}") for i, trip in enumerate(random_trips(40, seed=9))]
+        extracted = build_feature_dataset([trips[u::3] for u in range(3)], min_trips=1, iqr_multiplier=1e9)
         # Non-integral and huge integral durations, values that need all 17
         # significant digits, signed zero and the extremes of float64.
         edge = [
