@@ -20,7 +20,6 @@ import json
 import logging
 import sys
 from collections import Counter
-from collections.abc import Iterator
 from pathlib import Path
 
 from . import anomaly as anomaly_mod
@@ -93,16 +92,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
     Users are assembled and featurized one at a time; ingest counts are tallied here."""
     tally: Counter[str] = Counter()
 
-    def user_trips() -> Iterator[list[ingest.Trip]]:
-        for archive in ingest.iter_user_archives(args.root):
-            trips, skipped, duplicates = ingest.assemble_trips(archive)
-            tally.update(users=bool(archive.labels), quarantined=len(archive.quarantined))
-            tally.update(trips=len(trips), skipped=skipped, duplicates=duplicates)
-            log.info("user %s: %d trips (%d labels skipped)", archive.user_id, len(trips), skipped)
-            yield trips
+    def user_trips(archive: ingest.UserArchive) -> list[ingest.Trip]:
+        trips, skipped, duplicates = ingest.assemble_trips(archive)
+        tally.update(users=bool(archive.labels), quarantined=len(archive.quarantined))
+        tally.update(trips=len(trips), skipped=skipped, duplicates=duplicates)
+        log.info("user %s: %d trips (%d labels skipped)", archive.user_id, len(trips), skipped)
+        return trips
 
+    # map keeps no reference to the previous archive while it reads the next.
     dataset = features_mod.build_feature_dataset(
-        user_trips(), min_trips=args.min_trips, iqr_multiplier=args.iqr_mult
+        map(user_trips, ingest.iter_user_archives(args.root)), min_trips=args.min_trips, iqr_multiplier=args.iqr_mult
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

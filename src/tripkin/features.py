@@ -232,6 +232,7 @@ def build_feature_dataset(
         blocks.append(extract_features(usable))
         users += [trip.user_id for trip in usable]
         modalities += [trip.modality for trip in usable]
+        del trips, usable  # release this user before the stream reads the next
     rows = np.concatenate(blocks) if blocks else np.empty((0, len(FEATURE_NAMES)))
     users = np.array(users, dtype=object)
 

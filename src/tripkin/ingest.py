@@ -13,12 +13,16 @@ write so serialized files keep the 7-field shape.
 A trajectory file is parsed a column at a time: each check runs over all
 of the file's fields at once and yields the index of its first failing
 line, and the earliest of those lines is reported with the reason the
-per-field checks give for it.
+per-field checks give for it. A user's small files are parsed in batches
+of about _BATCH_BYTES, one column pass per batch; a batch that fails is
+parsed again file by file, so each bad file is still reported alone.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import lru_cache
@@ -105,10 +109,13 @@ class Trip:
 class UserArchive:
     """Everything loaded for one user: raw trajectories plus sorted labels.
 
+    Each track in trajectories holds the points of one or more of the
+    user's .plt files, parsed together; the tracks, in order, give every
+    loaded file's points in file-name order.
     quarantined holds one "path: line N: reason" (or "path: OS error")
     entry per file that failed to parse or read: a trajectory file left out
-    of trajectories, or the labels.txt, in which case labels and
-    trajectories are both empty.
+    of trajectories, the Trajectory directory if it could not be listed,
+    or the labels.txt, in which case labels and trajectories are both empty.
     """
 
     user_id: str
@@ -220,6 +227,10 @@ _STAMP_ZERO = ord("0") * _STAMP_PLACES.sum(axis=0)
 _NO_HOUR = np.iinfo(np.int64).min
 _COORDINATE_LIMITS = np.array([90.0, 180.0])
 
+# Trajectory files smaller than this are joined into parse batches of about
+# this many bytes; see _load_user.
+_BATCH_BYTES = 16 * 1024
+
 
 @lru_cache(maxsize=4096)
 def _hour_start(yyyymmddhh: int) -> int:
@@ -273,24 +284,37 @@ def _decode(data: bytes | str) -> str:
         raise MalformedLine(line_no, f"undecodable bytes: {exc}") from None
 
 
-def parse_plt(data: bytes | str) -> Track:
-    """Parse one Geolife .plt trajectory file into a track, preserving file order.
+def parse_plt(*files: bytes | str) -> Track:
+    """Parse one or more Geolife .plt trajectory files into one track, in file order.
 
-    The first 6 lines are header and are skipped, as are blank lines. Each
-    data line has 7 comma-separated fields: latitude, longitude, 0,
-    altitude in feet, fractional days since 1899-12-30, date "YYYY-MM-DD",
-    time "HH:MM:SS". Fields 3-5 are ignored; coordinates take ASCII
-    characters only (no "_" separators). Lines whose coordinates fall
+    Each file's first 6 lines are header and are skipped, as are blank
+    lines. Each data line has 7 comma-separated fields: latitude,
+    longitude, 0, altitude in feet, fractional days since 1899-12-30, date
+    "YYYY-MM-DD", time "HH:MM:SS". Fields 3-5 are ignored; coordinates take
+    ASCII characters only (no "_" separators). Lines whose coordinates fall
     outside the valid latitude/longitude ranges (NaN included) are dropped
-    (GPS junk observed in the wild); structural corruption rejects the
-    whole file instead.
+    (GPS junk observed in the wild) and logged once per file with that
+    file's count; structural corruption rejects the whole call instead.
+
+    Several files are parsed in one column pass over their joined data
+    lines, which saves the fixed cost of a call per small file. The result
+    is the per-file tracks concatenated; if any file would fail alone, the
+    call raises, and the caller parses the files one at a time to learn
+    which failed.
 
     Raises:
         MalformedLine: wrong field count or unparsable numbers/dates, for
-            the first such line.
-        EmptyFile: no data lines after the header.
+            the first such line, numbered within its file.
+        EmptyFile: a file has no data lines after the header.
     """
-    lines = _decode(data).splitlines()[PLT_HEADER_LINES:]
+    lines: list[str] = []
+    starts: list[int] = []  # each file's first line in lines
+    for data in files:
+        body = _decode(data).splitlines()[PLT_HEADER_LINES:]
+        if not any(map(str.strip, body)):
+            raise EmptyFile("no data lines after the 6-line header")
+        starts.append(len(lines))
+        lines += body
     commas = list(map(str.count, lines, repeat(",")))
     rows: range | list[int] = range(len(lines))
     wrong: list[int] = []
@@ -299,8 +323,6 @@ def parse_plt(data: bytes | str) -> Track:
         rows = [i for i, c in enumerate(commas) if c == 6]
         wrong = [i for i, c in enumerate(commas) if c != 6 and lines[i].strip()]
         lines_of = [lines[i] for i in rows]
-    if not rows and not wrong:
-        raise EmptyFile("no data lines after the 6-line header")
     fields = ",".join(lines_of).split(",") if lines_of else []
     coordinates, coordinates_bad = _coordinates(fields[0::7], fields[1::7])
     t, stamp_bad = _timestamps(fields[5::7], fields[6::7])
@@ -308,13 +330,17 @@ def parse_plt(data: bytes | str) -> Track:
     bad_lines = wrong[:1] + ([rows[first_bad]] if first_bad < len(rows) else [])
     if bad_lines:
         i = min(bad_lines)
-        raise MalformedLine(PLT_HEADER_LINES + 1 + i, _line_fault(lines[i]))
+        start = starts[bisect_right(starts, i) - 1]
+        raise MalformedLine(PLT_HEADER_LINES + 1 + i - start, _line_fault(lines[i]))
     lat_lon = np.array(coordinates, np.float64).reshape(-1, 2)
     in_range = np.abs(lat_lon) <= _COORDINATE_LIMITS  # False for NaN
     keep = in_range[:, 0] & in_range[:, 1]
-    n_out_of_range = len(keep) - int(np.count_nonzero(keep))
-    if n_out_of_range:
-        log.warning("dropped %d point(s) with out-of-range coordinates", n_out_of_range)
+    if not keep.all():
+        dropped_lines = np.asarray(rows)[~keep]
+        file_of = np.searchsorted(starts, dropped_lines, "right") - 1
+        for n_out_of_range in np.bincount(file_of, minlength=len(starts)).tolist():
+            if n_out_of_range:
+                log.warning("dropped %d point(s) with out-of-range coordinates", n_out_of_range)
         t, lat_lon = t[keep], lat_lon[keep]
     return Track._of(t, lat_lon[:, 0], lat_lon[:, 1])
 
@@ -437,6 +463,8 @@ def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
     recorded in the archive's ``quarantined``.
     The user's other trajectories load as usual; a user whose labels.txt
     is quarantined yields an archive with no labels and no trajectories.
+    Small .plt files are parsed in batches (see _load_user) with the same
+    quarantine entries, in the same order, as parsing each file alone.
 
     Raises:
         MissingRoot: ``root/Data`` is not a directory.
@@ -466,22 +494,72 @@ def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
             n_unlabeled += 1
             continue
         labels.sort(key=lambda lab: lab.start_time)
-
-        trajectories: list[Track] = []
-        quarantined: list[str] = []
-        traj_dir = user_dir / "Trajectory"
-        if traj_dir.is_dir():
-            for plt_path in sorted(traj_dir.glob("*.plt")):
-                try:
-                    trajectories.append(parse_plt(plt_path.read_bytes()))
-                except (MalformedLine, EmptyFile, OSError) as exc:
-                    quarantined.append(_quarantine(plt_path, exc))
-        yield UserArchive(user_dir.name, trajectories, labels, tuple(quarantined))
+        # Built in a call, so this frame keeps no trajectories of a user
+        # once it is yielded.
+        yield _load_user(user_dir, labels)
     if n_unlabeled:
         log.info("skipped %d user(s) without usable labels", n_unlabeled)
 
 
-def _quarantine(path: Path, exc: Exception) -> str:
+def _load_user(user_dir: Path, labels: list[TripLabel]) -> UserArchive:
+    """Read and parse a user's Trajectory/*.plt files in name order.
+
+    Each file is read once. Files under _BATCH_BYTES are joined until their
+    bytes reach it and parsed in one parse_plt call; a larger file is parsed
+    alone. A batch that raises is parsed again file by file, so each
+    quarantine entry, and its place in the order, is what parsing every
+    file alone gives.
+    """
+    trajectories: list[Track] = []
+    quarantined: list[str] = []
+    traj_dir = user_dir / "Trajectory"
+    names: list[str] = []
+    if traj_dir.is_dir():
+        try:
+            # The names sorted(traj_dir.glob("*.plt")) gives, in its order.
+            names = sorted(entry.name for entry in os.scandir(traj_dir) if entry.name.endswith(".plt"))
+        except OSError as exc:
+            quarantined.append(_quarantine(traj_dir, exc))
+    batch: list[tuple[str, bytes]] = []
+    size = 0
+    for name in names:
+        path = os.path.join(traj_dir, name)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            data = exc
+        # An unreadable or large file ends the batch before it, so the
+        # quarantine entries keep file order.
+        if batch and (isinstance(data, OSError) or len(data) >= _BATCH_BYTES):
+            _parse_batch(batch, trajectories, quarantined)
+            batch, size = [], 0
+        if isinstance(data, OSError):
+            quarantined.append(_quarantine(path, data))
+            continue
+        batch.append((path, data))
+        size += len(data)
+        if size >= _BATCH_BYTES:
+            _parse_batch(batch, trajectories, quarantined)
+            batch, size = [], 0
+    if batch:
+        _parse_batch(batch, trajectories, quarantined)
+    return UserArchive(user_dir.name, trajectories, labels, tuple(quarantined))
+
+
+def _parse_batch(batch: list[tuple[str, bytes]], trajectories: list[Track], quarantined: list[str]) -> None:
+    """Parse (path, bytes) pairs in one call, or else one at a time, quarantining each failure."""
+    try:
+        trajectories.append(parse_plt(*[data for _, data in batch]))
+    except (MalformedLine, EmptyFile) as exc:
+        if len(batch) == 1:
+            quarantined.append(_quarantine(batch[0][0], exc))
+        else:
+            for one in batch:
+                _parse_batch([one], trajectories, quarantined)
+
+
+def _quarantine(path: str | Path, exc: Exception) -> str:
     entry = f"{path}: {exc}"
     log.warning("quarantined %s", entry)
     return entry

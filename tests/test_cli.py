@@ -218,6 +218,24 @@ class TestExtractCommand:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    def test_holds_one_user_at_a_time(self, tmp_path):
+        # A user's archive and trips are released before the next user is
+        # read, so four users of one size peak where one user does. Were the
+        # previous user still live, four users would peak near 1.3 times one.
+        peaks = []
+        for n_users in (1, 4):
+            profiles = make_profiles(tmp_path / f"{n_users}.json", n_users=n_users, trips=48, points_per_trip=600)
+            root, out = tmp_path / f"raw-{n_users}", tmp_path / f"out-{n_users}"
+            assert main(["synth", "--profiles", str(profiles), "--out", str(root), "--seed", "1"]) == 0
+            assert main(["extract", "--root", str(root), "--out", str(out), "--min-trips", "1"]) == 0  # first-use imports
+            tracemalloc.start()
+            try:
+                assert main(["extract", "--root", str(root), "--out", str(out), "--min-trips", "1"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
 
 class TestClassifyCommand:
     EXPECTED = (

@@ -378,9 +378,10 @@ class TestPipeline:
     def test_holds_at_most_two_users_of_a_stream(self):
         self._peak_bytes(1)  # first-use imports
         two, five = self._peak_bytes(2), self._peak_bytes(5)
-        # The previous user's list is still bound while the stream builds
-        # the next, so two users are live at once. Were a third as well, five
-        # users would peak at about 1.24 times two users.
+        # build_feature_dataset releases each user's list before it asks for
+        # the next, but _user_streams itself still binds the previous user's
+        # track while it builds the next, so two users are live at once.
+        # Were a third as well, five users would peak at about 1.24 times two.
         assert five < 1.1 * two, (two, five)
 
 

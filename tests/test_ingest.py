@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tripkin import ingest
 from tripkin.geokinematics import Track
 from tripkin.ingest import (
     EmptyFile,
@@ -116,6 +117,14 @@ class TestParsePlt:
             )
         )
         assert pts.lat.tolist() == [39.9, 39.8]
+
+    def test_several_files_number_a_bad_line_within_its_file(self):
+        good = plt_file("39.9,116.3,0,0,0,2008-10-23,02:53:04", "39.9,116.3,0,0,0,2008-10-23,02:53:05")
+        with pytest.raises(MalformedLine) as err:
+            parse_plt(good, plt_file("39.9,116.3,0,0,0,2008-10-23,02:53:06", "39.9,116.3,0,0"))
+        assert str(err.value) == "line 8: expected 7 fields, got 4"
+        with pytest.raises(EmptyFile):
+            parse_plt(good, PLT_HEADER + "\n \n", good)
 
     def test_round_trip(self):
         original = plt_file(
@@ -357,6 +366,90 @@ class TestLoadDataset:
         assert bad == UserArchive("000", [], [], (entry,))
         assert good.user_id == "001" and good.quarantined == () and len(good.trajectories) == 1
         assert [r.levelname for r in caplog.records if entry in r.getMessage()] == ["WARNING"]
+
+    def test_batched_files_quarantine_and_warn_as_if_parsed_alone(self, tmp_path, monkeypatch, caplog):
+        # All files are small. Those before the directory zz.plt form one
+        # batch, which fails and is parsed again file by file; the two after
+        # it form a batch that parses, each file warning with its own count.
+        traj = tmp_path / "Data" / "000" / "Trajectory"
+        traj.mkdir(parents=True)
+        (tmp_path / "Data" / "000" / "labels.txt").write_text(format_labels([TripLabel(0, 60, "walk")]))
+
+        def fixes(start, n, bad=0):
+            return [f"{95.0 if i < bad else 39.9},116.3,0,0,0,1970-01-01,00:{start + i:02d}:00" for i in range(n)]
+
+        files = {
+            "01.plt": plt_file(*fixes(0, 5, bad=2)),
+            "02.plt": plt_file("1,2,3"),
+            "03.plt": plt_file(*fixes(10, 4)),
+            "04.plt": PLT_HEADER,
+            "zzz1.plt": plt_file(*fixes(20, 3, bad=1)),
+            "zzz2.plt": plt_file(*fixes(30, 6, bad=3)),
+        }
+        for name, text in files.items():
+            (traj / name).write_text(text)
+        (traj / "zz.plt").mkdir()
+        calls = []
+
+        def counting(*data):
+            calls.append(len(data))
+            return parse_plt(*data)
+
+        monkeypatch.setattr(ingest, "parse_plt", counting)
+
+        def load():
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="tripkin.ingest"):
+                (archive,) = iter_user_archives(tmp_path)
+            return archive, [r.getMessage() for r in caplog.records]
+
+        batched, batched_log = load()
+        assert calls == [4, 1, 1, 1, 1, 2]
+        monkeypatch.setattr(ingest, "_BATCH_BYTES", 1)  # every file alone
+        calls.clear()
+        alone, alone_log = load()
+        assert calls == [1, 1, 1, 1, 1, 1]
+
+        assert batched.quarantined == alone.quarantined
+        assert [entry.split(": ")[0] for entry in batched.quarantined] == [str(traj / n) for n in ("02.plt", "04.plt", "zz.plt")]
+        assert batched_log == alone_log
+        assert [m for m in batched_log if m.startswith("dropped")] == [
+            f"dropped {n} point(s) with out-of-range coordinates" for n in (2, 1, 3)
+        ]
+        good = [parse_plt(files[n]) for n in ("01.plt", "03.plt", "zzz1.plt", "zzz2.plt")]
+        for archive in (batched, alone):
+            assert len(archive.trajectories) == (3 if archive is batched else 4)
+            for column in ("t", "lat", "lon"):
+                loaded = np.concatenate([getattr(tr, column) for tr in archive.trajectories])
+                assert loaded.tobytes() == np.concatenate([getattr(tr, column) for tr in good]).tobytes()
+
+    def test_lists_the_names_glob_picks_in_its_order(self, tmp_path):
+        traj = tmp_path / "Data" / "000" / "Trajectory"
+        traj.mkdir(parents=True)
+        (tmp_path / "Data" / "000" / "labels.txt").write_text(format_labels([TripLabel(0, 60, "walk")]))
+        for name in ("b.plt", ".x.plt", "a.plt", "Z.plt", "\u00e9.plt", "UPPER.PLT", "a.plt.bak", "plt", "c.plt~"):
+            (traj / name).write_text("not a trajectory\n")  # each file read is quarantined, naming it
+        (traj / "zz.plt").mkdir()
+        expected = [str(p) for p in sorted(traj.glob("*.plt"))]
+        assert [Path(p).name for p in expected] == [".x.plt", "Z.plt", "a.plt", "b.plt", "zz.plt", "\u00e9.plt"]
+        (archive,) = iter_user_archives(tmp_path)
+        assert [entry.split(": ")[0] for entry in archive.quarantined] == expected
+
+    def test_unlistable_trajectory_dir_is_quarantined(self, tmp_path, monkeypatch):
+        self.write_user(tmp_path, "000")
+        self.write_user(tmp_path, "001")
+        traj = tmp_path / "Data" / "000" / "Trajectory"
+        scandir = ingest.os.scandir
+
+        def denied(path):
+            if Path(path) == traj:
+                raise PermissionError(13, "Permission denied", str(path))
+            return scandir(path)
+
+        monkeypatch.setattr(ingest.os, "scandir", denied)
+        bad, good = iter_user_archives(tmp_path)
+        assert bad == UserArchive("000", [], bad.labels, (f"{traj}: [Errno 13] Permission denied: '{traj}'",))
+        assert good.quarantined == () and len(good.trajectories) == 1
 
     def test_deterministic(self, tmp_path):
         for uid in ("000", "001", "002"):

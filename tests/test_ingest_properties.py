@@ -2,10 +2,13 @@
 
 parse_plt checks a whole file's fields at once; the line-at-a-time
 parser in oracles.py is the reference it must agree with, result for
-result and error message for error message.
+result and error message for error message. Given several files, it must
+return what parsing each alone returns, concatenated, or raise if any
+file fails alone.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +117,22 @@ def test_undecodable_byte_fails_on_its_line_as_the_line_parser_does(data, draw):
     at = draw.draw(st.integers(0, len(raw)))
     bad = raw[:at] + draw.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x82"])) + raw[at:]
     assert outcome(parse_plt, bad) == outcome(parse_plt_lines, bad)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(plt_file(), min_size=1, max_size=5))
+def test_several_files_parse_as_their_concatenated_parses(files):
+    try:
+        tracks = [parse_plt(data) for data in files]
+    except (MalformedLine, EmptyFile):
+        with pytest.raises((MalformedLine, EmptyFile)):
+            parse_plt(*files)
+        return
+    batched = parse_plt(*files)
+    for column in ("t", "lat", "lon"):
+        expected = np.concatenate([getattr(track, column) for track in tracks])
+        assert getattr(batched, column).dtype == expected.dtype
+        assert getattr(batched, column).tobytes() == expected.tobytes()
 
 
 fixes = st.lists(
