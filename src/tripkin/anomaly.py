@@ -13,9 +13,12 @@ seconds vs accelerations near 1 m/s^2), which would let duration alone
 dominate the Euclidean distances.
 
 LOF scans a trial's distances in blocks of rows and keeps only each
-row's neighbor list, so n rows take O(_LOF_BLOCK + n * k) memory, not
-n x n. Exact distance ties grow the lists, to n * (n - 1) entries when
-all n rows are identical.
+row's neighbor list, so n rows take O(_LOF_BUFFER + n * k) memory, not
+n x n. A block's distances come from one broadcast subtraction into a
+buffer of the block's squared column differences, which holds at most
+_LOF_BUFFER doubles whatever n and the column count. Exact distance
+ties grow the lists, to n * (n - 1) entries when all n rows are
+identical.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Distance entries computed per block of rows in lof_scores.
-_LOF_BLOCK = 1 << 15
+# Doubles in lof_scores' distance buffer (512 KiB), which sets its rows per block.
+_LOF_BUFFER = 1 << 16
 
 
 class UnknownUser(ValueError):
@@ -79,26 +82,30 @@ def inject_anomalies(
         InsufficientDonors: other users have fewer rows than needed.
     """
     X = dataset.matrix()
-    subject_mask = dataset.users == subject
-    n_normal = int(subject_mask.sum())
-    if n_normal == 0:
+    own = dataset.user_rows().get(subject)
+    if own is None:
         raise UnknownUser(f"user {subject!r} has no rows")
+    n_normal = len(own)
     n_anom = anomaly_count(n_normal, rate)
-    donor_idx = np.flatnonzero(~subject_mask)
-    if len(donor_idx) < n_anom:
+    n_donors = len(X) - n_normal
+    if n_donors < n_anom:
         raise InsufficientDonors(
-            f"need {n_anom} donor rows, other users have {len(donor_idx)}"
+            f"need {n_anom} donor rows, other users have {n_donors}"
         )
     rng = np.random.default_rng(seed)
-    picked = rng.choice(len(donor_idx), size=n_anom, replace=False)
-    return np.vstack([X[subject_mask], X[donor_idx[np.sort(picked)]]]), n_normal
+    picked = rng.choice(n_donors, size=n_anom, replace=False)
+    is_donor = np.ones(len(X), dtype=bool)
+    is_donor[own] = False
+    donors = np.flatnonzero(is_donor)[np.sort(picked)]
+    return X[np.concatenate((own, donors))], n_normal
 
 
 def standardize(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z-score each column with its pooled mean and population std.
 
     Columns with zero spread map to all zeros. Returns the standardized
-    matrix plus the per-column means and stds.
+    matrix plus the per-column means and stds. The sums and divisions are
+    those of ndarray.mean and ndarray.std, so are their bits.
 
     Raises:
         ValueError: a column's mean or std is not finite, e.g. because
@@ -106,14 +113,15 @@ def standardize(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     X = np.asarray(rows, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        mean = np.add.reduce(X, axis=0) / len(X)
+        centered = X - mean
+        std = np.sqrt(np.add.reduce(centered * centered, axis=0) / len(X))
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if len(bad):
         j = bad[0]
         raise ValueError(f"column {j} cannot be standardized: mean {mean[j]}, std {std[j]}")
     safe = np.where(std > 0, std, 1.0)
-    Z = np.where(std > 0, (X - mean) / safe, 0.0)
+    Z = np.where(std > 0, centered / safe, 0.0)
     return Z, mean, std
 
 
@@ -127,12 +135,14 @@ def lof_scores(rows, k: int = 20) -> np.ndarray:
     reachability distance, treated as +inf when that mean is zero
     (coincident points), with the ratio of two infinite lrds defined as 1.
 
-    Distances are built max(1, _LOF_BLOCK // n) rows at a time against
-    all n rows, and each block keeps only its rows' neighbor indices and
-    distances, so the working memory is O(_LOF_BLOCK + n * k) rather than
-    n x n. Ties enlarge neighborhoods: in the worst case, n identical
-    rows, every row has n - 1 neighbors and the flat neighbor lists hold
-    n * (n - 1) entries.
+    Distances are built a block of rows at a time against all n rows of
+    m columns, in one buffer of at most _LOF_BUFFER doubles (the block's
+    distances and its m layers of squared column differences, as many
+    rows as fit), and each block keeps only its rows' neighbor indices
+    and distances, so the working memory is O(_LOF_BUFFER + n * k)
+    rather than n x n. Ties enlarge neighborhoods:
+    in the worst case, n identical rows, every row has n - 1 neighbors
+    and the flat neighbor lists hold n * (n - 1) entries.
 
     Raises:
         ValueError: rows is not 2-D, holds a NaN or infinity, k < 1, or
@@ -172,43 +182,54 @@ def lof_scores(rows, k: int = 20) -> np.ndarray:
     return _grouped_means(ratios, sizes)
 
 
+def _rows_per_block(n: int, depth: int) -> int:
+    """Rows per distance block: a depth x rows x n buffer fits _LOF_BUFFER doubles."""
+    return max(1, _LOF_BUFFER // (depth * n))
+
+
 def _neighbor_lists(X: np.ndarray, k: int):
     """One blocked pass over the distances: each row's k-distance and neighbors.
 
     Returns k_dist, the neighborhood size of each row, and the neighbor
     indices with their distances laid end to end by row, each row's in
     column order.
+
+    One buffer of depth layers of step x n doubles serves every block:
+    the block's distances, then its m layers of squared column
+    differences, the first of which (a layer of its own when m is 0) is
+    then the partition's scratch.
     """
-    n = len(X)
-    step = max(1, _LOF_BLOCK // n)
+    n, m = X.shape
+    depth = max(m, 1) + 1
+    step = min(_rows_per_block(n, depth), n)
+    XT = np.ascontiguousarray(X.T)
+    buf = np.empty(depth * step * n)
     k_dist = np.empty(n)
     sizes = np.empty(n, dtype=np.intp)
     nbr_parts, dist_parts = [], []
-    # Two block-sized buffers serve every block: the distances, and a
-    # scratch array for the squared differences and then the partition.
-    dist_buf = np.empty((min(step, n), n))
-    scratch_buf = np.empty_like(dist_buf)
     for start in range(0, n, step):
-        block = X[start : start + step]
-        dist, scratch = dist_buf[: len(block)], scratch_buf[: len(block)]
-        # Squares summed one column at a time, in column order: the order in
-        # which the per-row loop form adds them, so the distances are
-        # bit-equal to that form's.
-        dist.fill(0.0)
-        for b_col, col in zip(block.T, X.T):
-            np.subtract(b_col[:, None], col, out=scratch)
-            dist += np.multiply(scratch, scratch, out=scratch)
+        b = min(step, n - start)
+        dist = buf[: b * n].reshape(b, n)
+        diff = buf[b * n : (m + 1) * b * n].reshape(m, b, n)
+        # Reducing the outer axis adds the squares column by column, in
+        # column order: the order in which the per-row loop form adds them,
+        # so the distances are bit-equal to that form's.
+        np.subtract(XT[:, start : start + b, None], XT[:, None, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=0, out=dist)
         np.sqrt(dist, out=dist)
-        own = np.arange(len(block))
-        dist[own, own + start] = np.inf  # exclude self from neighbor ranks
+        flat_dist = dist.reshape(-1)
+        flat_dist[start :: n + 1] = np.inf  # exclude self from neighbor ranks
+        scratch = buf[b * n : 2 * b * n].reshape(b, n)
         np.copyto(scratch, dist)
         scratch.partition(k - 1, axis=1)
         kd = scratch[:, k - 1]
-        neighbors = dist <= kd[:, None]
-        k_dist[start : start + step] = kd
-        sizes[start : start + step] = neighbors.sum(axis=1)
-        nbr_parts.append(np.nonzero(neighbors)[1])
-        dist_parts.append(dist[neighbors])
+        k_dist[start : start + b] = kd
+        flat = np.flatnonzero(dist <= kd[:, None])
+        row_ends = np.searchsorted(flat, np.arange(0, (b + 1) * n, n))
+        sizes[start : start + b] = row_ends[1:] - row_ends[:-1]
+        nbr_parts.append(flat % n)
+        dist_parts.append(flat_dist[flat])
     return k_dist, sizes, np.concatenate(nbr_parts), np.concatenate(dist_parts)
 
 
@@ -217,9 +238,13 @@ def _grouped_means(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
     Rows with the same run size are gathered into one (rows, size) array
     and summed along axis 1, which adds each row exactly as ndarray.mean
-    adds a 1-D slice (pairwise, in order). np.add.reduceat groups the
+    adds a 1-D slice (pairwise, in order). When every run has the same
+    size, values itself is that array. np.add.reduceat groups the
     additions differently, so its sums can differ in the last bits.
     """
+    size = int(sizes[0])
+    if (sizes == size).all():
+        return values.reshape(len(sizes), size).sum(axis=1) / size
     starts = np.cumsum(sizes) - sizes
     means = np.empty(len(sizes))
     for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
@@ -245,19 +270,23 @@ def pr_auc(ground_truth, scores) -> float:
         raise ValueError("length mismatch")
     if np.isnan(s).any():
         raise ValueError("scores contain NaN")
-    n_pos = int(y.sum())
+    n_pos = np.count_nonzero(y)
     if n_pos == 0:
         raise NoPositives("ground truth has no positive rows")
     order = np.argsort(-s, kind="stable")
-    y_sorted = y[order]
     s_sorted = s[order]
-    tp = np.cumsum(y_sorted)
-    pp = np.arange(1, len(y) + 1)
-    # last index of each tie group = one threshold step
-    step = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
-    precision = tp[step] / pp[step]
-    recall = tp[step] / n_pos
-    return float(np.sum(np.diff(recall, prepend=0.0) * precision))
+    tp = np.cumsum(y[order])
+    # The last index of each tie group is one threshold step.
+    last = np.empty(len(s), dtype=bool)
+    np.not_equal(s_sorted[1:], s_sorted[:-1], out=last[:-1])
+    last[-1] = True
+    step = np.flatnonzero(last)
+    tp_step = tp[step]
+    precision = tp_step / (step + 1)
+    recall = tp_step / n_pos
+    gain = recall.copy()
+    gain[1:] -= recall[:-1]
+    return float(np.add.reduce(gain * precision))
 
 
 def run_anomaly_experiment(

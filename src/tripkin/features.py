@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,6 +88,7 @@ class FeatureDataset:
         self.users = _read_only(np.array(users, dtype=object))
         self.modalities = _read_only(np.array(modalities, dtype=object))
         self.provenance = provenance if provenance is not None else Provenance()
+        self._user_rows: Mapping[str, np.ndarray] | None = None
         if not len(self.rows) == len(self.users) == len(self.modalities):
             raise ValueError(
                 f"{len(self.rows)} feature rows but {len(self.users)} users "
@@ -105,7 +107,21 @@ class FeatureDataset:
 
     def user_counts(self) -> dict[str, int]:
         """Rows per user, in order of first appearance."""
-        return dict(Counter(self.users.tolist()))
+        return {user: len(rows) for user, rows in self.user_rows().items()}
+
+    def user_rows(self) -> Mapping[str, np.ndarray]:
+        """Each user's ascending row indices, in order of first appearance.
+
+        Built on the first call and kept; the mapping and its arrays are read-only.
+        """
+        if self._user_rows is None:
+            rows: dict[str, list[int]] = {}
+            for i, user in enumerate(self.users.tolist()):
+                rows.setdefault(user, []).append(i)
+            self._user_rows = MappingProxyType(
+                {user: _read_only(np.array(ix, dtype=np.intp)) for user, ix in rows.items()}
+            )
+        return self._user_rows
 
 
 def extract_features(trips: Sequence[Trip]) -> np.ndarray:
@@ -298,13 +314,25 @@ def read_features_csv(path: str | Path) -> FeatureDataset:
                 raise ValueError(f"feature CSV row has {len(rec)} columns: {rec!r}")
             users.append(rec[0])
             modalities.append(rec[1])
-            for name, cell in zip(FEATURE_NAMES, rec[2:]):
-                try:
-                    # float() alone would also take "_" separators and non-ASCII digits.
-                    if not cell.isascii() or "_" in cell:
-                        raise ValueError
-                    values.append(float(cell))
-                except ValueError:
-                    where = f"feature CSV line {reader.line_num}, column {name}"
-                    raise ValueError(f"{where}: bad number {cell!r}") from None
+            cells = rec[2:]
+            # float() alone would also take "_" separators and non-ASCII
+            # digits; a row's cells hold neither iff their concatenation does not.
+            joined = "".join(cells)
+            try:
+                if not joined.isascii() or "_" in joined:
+                    raise ValueError
+                values.extend(map(float, cells))
+            except ValueError:
+                _raise_bad_cell(reader.line_num, cells)
     return FeatureDataset(np.reshape(values, (len(users), len(FEATURE_NAMES))), users, modalities)
+
+
+def _raise_bad_cell(line_num: int, cells: list[str]) -> None:
+    """Name the first feature cell of a CSV row that is not an ASCII number without "_"."""
+    for name, cell in zip(FEATURE_NAMES, cells):
+        try:
+            if not cell.isascii() or "_" in cell:
+                raise ValueError
+            float(cell)
+        except ValueError:
+            raise ValueError(f"feature CSV line {line_num}, column {name}: bad number {cell!r}") from None

@@ -248,6 +248,41 @@ def average_precision_sweep(ground_truth, scores) -> float:
     return ap
 
 
+def average_precision_cumsum(ground_truth, scores) -> float:
+    """The former body of anomaly.pr_auc, kept as its bit-for-bit reference.
+
+    Ranks by descending score (stable), takes the last index of each tie
+    group as one threshold step, and sums recall gain times precision
+    with np.append, np.diff(prepend=) and np.sum.
+    """
+    y = np.asarray(ground_truth, dtype=bool)
+    s = np.asarray(scores, dtype=float)
+    n_pos = int(y.sum())
+    order = np.argsort(-s, kind="stable")
+    y_sorted = y[order]
+    s_sorted = s[order]
+    tp = np.cumsum(y_sorted)
+    pp = np.arange(1, len(y) + 1)
+    step = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    precision = tp[step] / pp[step]
+    recall = tp[step] / n_pos
+    return float(np.sum(np.diff(recall, prepend=0.0) * precision))
+
+
+def standardize_mean_std(rows):
+    """The former body of anomaly.standardize, kept as its bit-for-bit reference.
+
+    Z-scores with ndarray.mean and ndarray.std (population) per column;
+    columns with zero spread map to all zeros. Finite inputs only.
+    """
+    X = np.asarray(rows, dtype=float)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    safe = np.where(std > 0, std, 1.0)
+    Z = np.where(std > 0, (X - mean) / safe, 0.0)
+    return Z, mean, std
+
+
 def lof_bruteforce(rows, k: int) -> list[float]:
     """Local Outlier Factor straight from the definition, scalar loops only."""
     X = [list(map(float, row)) for row in rows]

@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripkin import anomaly
 from tripkin.anomaly import (
@@ -19,11 +22,22 @@ from tripkin.anomaly import (
 from tripkin.features import FEATURE_NAMES
 
 from helpers import feature_dataset
-from oracles import average_precision_sweep, lof_bruteforce, lof_scores_loop
+from oracles import (
+    average_precision_cumsum,
+    average_precision_sweep,
+    lof_bruteforce,
+    lof_scores_loop,
+    standardize_mean_std,
+)
 
 
 # Finite values whose squares, and squared differences, overflow float64.
 OVERFLOW_COLUMN = [0.0, 1e200, -1e200, 2e200, 3e200, 5.0]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def blob_dataset(centers, n_per_user=40, spread=0.2, seed=0):
@@ -76,6 +90,22 @@ class TestInjection:
         with pytest.raises(InsufficientDonors):
             inject_anomalies(dataset, "big", rate=0.03, seed=0)  # needs 3 of 2
 
+    def test_rows_equal_a_selection_by_user_mask(self):
+        # Users interleaved, so neither the subject's nor the donors' rows are contiguous.
+        rng = np.random.default_rng(23)
+        users = rng.choice(["a", "b", "c"], size=150).tolist()
+        rows = rng.normal(5.0, 1.0, size=(150, len(FEATURE_NAMES)))
+        rows[:, 0] = np.abs(rows[:, 0]) + 1.0  # duration_s
+        dataset = feature_dataset(rows, users)
+        for subject in ("a", "b", "c"):
+            for seed in range(5):
+                got, n_normal = inject_anomalies(dataset, subject, rate=0.2, seed=seed)
+                mask = dataset.users == subject
+                donors = np.flatnonzero(~mask)
+                picked = np.random.default_rng(seed).choice(len(donors), size=anomaly_count(mask.sum(), 0.2), replace=False)
+                assert n_normal == mask.sum()
+                assert same_bits(got, np.vstack([dataset.rows[mask], dataset.rows[donors[np.sort(picked)]]]))
+
     def test_deterministic_under_seed(self):
         dataset = blob_dataset((2.0, 20.0, 50.0), n_per_user=64)
         a, n_a = inject_anomalies(dataset, "001", seed=7)
@@ -115,6 +145,29 @@ class TestStandardize:
         X = np.column_stack([np.arange(6.0), OVERFLOW_COLUMN])
         with pytest.raises(ValueError, match="column 1 cannot be standardized"):
             standardize(X)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.lists(st.sampled_from(["spread", "rounded", "constant", "huge"]), min_size=1, max_size=10),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_mean_and_std(self, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        columns = []
+        for kind in kinds:
+            column = rng.normal(rng.uniform(-1e3, 1e3), 10.0 ** rng.integers(-6, 6), size=n)
+            if kind == "rounded":  # many ties
+                column = np.round(column / column.std() if n > 1 else column)
+            elif kind == "constant":  # zero spread
+                column = np.full(n, column[0])
+            elif kind == "huge":
+                column *= 1e140
+            columns.append(column)
+        X = np.column_stack(columns)
+        got, want = standardize(X), standardize_mean_std(X)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
 
 
 class TestLofScores:
@@ -180,6 +233,23 @@ class TestLofScores:
                 X[rng.integers(0, n, n // 3)] = X[rng.integers(0, n, n // 3)]
             assert np.array_equal(lof_scores(X, k=k), lof_scores_loop(X, k=k))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tie_heavy_draws_bit_identical_to_loop_reference(self, data):
+        n = data.draw(st.integers(2, 60), label="n")
+        m = data.draw(st.integers(1, 10), label="m")
+        k = data.draw(st.integers(1, n - 1), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.normal(size=(n, m)) * rng.uniform(0.1, 5.0, size=m)
+        X = np.round(X, data.draw(st.integers(0, 3), label="decimals"))
+        n_copies = data.draw(st.integers(0, n - 1), label="copies")
+        X[rng.integers(0, n, n_copies)] = X[rng.integers(0, n, n_copies)]
+        rows_per_block = data.draw(st.integers(1, n + 1), label="rows_per_block")
+        with mock.patch.object(anomaly, "_rows_per_block", lambda n, depth: rows_per_block):
+            got = lof_scores(X, k=k)
+        assert same_bits(got, lof_scores_loop(X, k=k))
+        assert same_bits(lof_scores(X, k=k), got)
+
     def test_one_dimensional_rows_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             lof_scores(np.arange(30.0), k=5)
@@ -234,7 +304,7 @@ class TestLofBlocks:
         n = len(X)
         want = lof_scores_loop(X, k=k)
         for rows_per_block in (1, 3, 7, n - 1, n, 2 * n):
-            monkeypatch.setattr(anomaly, "_LOF_BLOCK", rows_per_block * n)
+            monkeypatch.setattr(anomaly, "_rows_per_block", lambda n, depth: rows_per_block)
             got = lof_scores(X, k=k)
             assert np.array_equal(got, want), rows_per_block
 
@@ -254,6 +324,21 @@ class TestLofBlocks:
         assert full < 4 * 2**20, full
         # Doubling n quadruples every n x n array; block and lists only double.
         assert full < 2 * half, (half, full)
+
+    def test_peak_memory_of_a_large_trial_not_above_the_column_loop(self):
+        # 760,652 bytes: the peak of the former pass, which built each block's
+        # distances one column at a time in two buffers, on this input
+        # (Python 3.11, numpy 2.4). The one buffer of the broadcast pass has
+        # the same budget.
+        assert self._peak_bytes(230) <= 760_652
+
+    def test_blocks_fill_but_do_not_exceed_the_buffer_budget(self):
+        for n in (2, 45, 230, 1500, 10**6):
+            for depth in (2, 11):
+                rows = anomaly._rows_per_block(n, depth)
+                assert rows >= 1
+                assert rows == 1 or depth * rows * n <= anomaly._LOF_BUFFER
+                assert depth * (rows + 1) * n > anomaly._LOF_BUFFER
 
 
 class TestPrAuc:
@@ -311,6 +396,26 @@ class TestPrAuc:
     def test_nan_score_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             pr_auc([0, 1, 1], [0.1, np.nan, 0.3])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_cumsum_reference(self, data):
+        n = data.draw(st.integers(1, 300), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        truth = np.zeros(n, dtype=bool)
+        if data.draw(st.booleans(), label="single_positive"):
+            truth[rng.integers(n)] = True
+        else:
+            truth = rng.random(n) < rng.random()
+            truth[rng.integers(n)] = True
+        scores = data.draw(st.sampled_from(["distinct", "tied", "infinite"]), label="scores")
+        s = rng.normal(size=n)
+        if scores == "tied":
+            s = rng.integers(0, 4, size=n) / 3.0
+        elif scores == "infinite":
+            s[rng.random(n) < 0.3] = np.inf
+            s[rng.random(n) < 0.1] = -np.inf
+        assert same_bits(pr_auc(truth, s), average_precision_cumsum(truth, s))
 
     def test_infinite_scores_rank_first(self):
         # Degenerate LOF setups can emit +inf scores; they must just rank.

@@ -411,6 +411,29 @@ class TestFeatureDataset:
         with pytest.raises(ValueError, match="2 feature rows but 1 users"):
             FeatureDataset([make_row(), make_row()], ["a"], ["walk", "walk"])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", "c", "0", "10", "é"]), max_size=60))
+    def test_user_rows_are_each_users_ascending_rows(self, users):
+        dataset = make_dataset([make_row()] * len(users), users)
+        index = dataset.user_rows()
+        assert list(index) == list(dict.fromkeys(users))
+        assert dataset.user_counts() == {user: users.count(user) for user in index}
+        for user, rows in index.items():
+            assert rows.dtype == np.intp
+            assert np.array_equal(rows, np.flatnonzero(dataset.users == user))
+        assert dataset.user_rows() is index
+
+    def test_user_rows_cannot_be_written_through(self):
+        dataset = make_dataset([make_row()] * 3, ["a", "b", "a"])
+        index = dataset.user_rows()
+        with pytest.raises(ValueError, match="read-only"):
+            index["a"][0] = 1
+        with pytest.raises(TypeError):
+            index["a"] = np.array([1])
+        with pytest.raises(TypeError):
+            del index["b"]
+        assert dataset.user_rows()["a"].tolist() == [0, 2] and dataset.user_rows()["b"].tolist() == [1]
+
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):
