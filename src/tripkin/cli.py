@@ -1,8 +1,9 @@
 """Command-line pipeline: extract, classify, anomaly, synth.
 
-Every subcommand is deterministic given its inputs and --seed. The
-command reports and features.csv are written atomically (temp file, then
-rename); synth writes its corpus files in place. extract, classify and
+Every subcommand is deterministic given its inputs and --seed. Text files
+are UTF-8 whatever the locale. The command reports and features.csv are
+written atomically (temp file, then rename; a failed write deletes the
+temp file); synth writes its corpus files in place. extract, classify and
 anomaly create --out only once their result is computed, so a run that
 fails before that leaves no directory behind. Defaults
 carry the experiment constants (5 folds, 30-trip minimum, 1.5 IQR
@@ -25,7 +26,7 @@ from pathlib import Path
 from . import anomaly as anomaly_mod
 from . import features as features_mod
 from . import ingest, learn, synth
-from .features import FEATURE_NAMES, write_csv
+from .features import FEATURE_NAMES, open_atomic, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +62,7 @@ def _resolve_config(args: argparse.Namespace) -> None:
     """Fill each DEFAULTS key the flags left unset from --config, else the default."""
     file_values = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError(f"config must be a JSON object, got {type(file_values).__name__}")
@@ -78,12 +79,6 @@ def _resolve_config(args: argparse.Namespace) -> None:
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, default))
     _validate(args)
-
-
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -126,7 +121,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     report = learn.run_classification(dataset, k=args.k_folds, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "classification_report.json", json.dumps(report, indent=2) + "\n")
+    with open_atomic(out_dir / "classification_report.json") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
     order = report["class_order"]
     write_csv(
         out_dir / "confusion_matrix.csv",
@@ -176,7 +172,8 @@ def cmd_anomaly(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "anomaly_trials.csv", anomaly_mod.TrialResult._fields, trials)
-    _write_text(out_dir / "anomaly_summary.json", json.dumps(summary, indent=2) + "\n")
+    with open_atomic(out_dir / "anomaly_summary.json") as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
     write_csv(out_dir / "anomaly_per_user.csv", ["user_id", "mean_pr_auc_lof", "mean_pr_auc_random"], per_user)
 
     print(f"trials: {summary['n_trials']}")

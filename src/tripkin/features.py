@@ -12,15 +12,17 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
+from typing import TextIO
 
 import numpy as np
 
 from .geokinematics import acceleration_sequence, speed_sequence
-from .ingest import Trip
+from .ingest import Trip, parse_numbers
 
 FEATURE_NAMES = (
     "duration_s",
@@ -280,24 +282,35 @@ def write_features_csv(dataset: FeatureDataset, path: str | Path) -> None:
 
 
 def write_csv(path: str | Path, header, rows) -> None:
-    """Stream a header and rows as CSV to <name>.tmp, then rename it over path."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    """Stream a header and rows as CSV through open_atomic."""
+    with open_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    tmp.replace(path)
+
+
+@contextmanager
+def open_atomic(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file at <path>.tmp, renamed over path after the block, or deleted if either fails."""
+    tmp = Path(f"{path}.tmp")
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_features_csv(path: str | Path) -> FeatureDataset:
-    """Read a feature CSV back into a dataset (provenance starts empty).
+    """Read a UTF-8 feature CSV back into a dataset (provenance starts empty).
 
     Raises:
         ValueError: a wrong header or column count, or a feature cell that
             is not an ASCII number without "_" (named by line and column).
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -314,25 +327,9 @@ def read_features_csv(path: str | Path) -> FeatureDataset:
                 raise ValueError(f"feature CSV row has {len(rec)} columns: {rec!r}")
             users.append(rec[0])
             modalities.append(rec[1])
-            cells = rec[2:]
-            # float() alone would also take "_" separators and non-ASCII
-            # digits; a row's cells hold neither iff their concatenation does not.
-            joined = "".join(cells)
-            try:
-                if not joined.isascii() or "_" in joined:
-                    raise ValueError
-                values.extend(map(float, cells))
-            except ValueError:
-                _raise_bad_cell(reader.line_num, cells)
+            row, _ = parse_numbers(rec[2:])
+            if len(row) < len(FEATURE_NAMES):
+                name, cell = FEATURE_NAMES[len(row)], rec[2 + len(row)]
+                raise ValueError(f"feature CSV line {reader.line_num}, column {name}: bad number {cell!r}")
+            values += row
     return FeatureDataset(np.reshape(values, (len(users), len(FEATURE_NAMES))), users, modalities)
-
-
-def _raise_bad_cell(line_num: int, cells: list[str]) -> None:
-    """Name the first feature cell of a CSV row that is not an ASCII number without "_"."""
-    for name, cell in zip(FEATURE_NAMES, cells):
-        try:
-            if not cell.isascii() or "_" in cell:
-                raise ValueError
-            float(cell)
-        except ValueError:
-            raise ValueError(f"feature CSV line {line_num}, column {name}: bad number {cell!r}") from None

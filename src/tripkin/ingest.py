@@ -10,12 +10,15 @@ which is the dataset's convention. The fractional-days field is ignored
 on read (the text fields are exact to the second) but still emitted on
 write so serialized files keep the 7-field shape.
 
-A trajectory file is parsed a column at a time: each check runs over all
-of the file's fields at once and yields the index of its first failing
-line, and the earliest of those lines is reported with the reason the
-per-field checks give for it. A user's small files are parsed in batches
-of about _BATCH_BYTES, one column pass per batch; a batch that fails is
-parsed again file by file, so each bad file is still reported alone.
+Trajectory and label files are parsed a column at a time, with one kernel
+per field grammar: parse_numbers (shared with the feature CSV reader) and
+_timestamps, whose date separator is "-" in .plt files and "/" in
+labels.txt. Each kernel yields the index of its first failing line, and
+the earliest such line is reported with the reason the same kernels give
+on that line alone, field by field in line order, the time before the
+date. A user's small files are parsed in batches of about _BATCH_BYTES,
+one column pass per batch; a batch that fails is parsed again file by
+file, so each bad file is still reported alone.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import logging
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
@@ -129,61 +132,32 @@ class UserArchive:
                 raise ValueError("labels must be sorted by start_time")
 
 
-def _ascii_digits(s: str) -> bool:
-    # int() alone would also take "_" separators, signs, spaces and
-    # non-ASCII digits such as full-width ones.
-    return s.isascii() and s.isdigit()
-
-
-@lru_cache(maxsize=8192)
-def _days_since_epoch(date_s: str, sep: str) -> int:
-    # Label files repeat a handful of dates many times.
-    year, month, day = date_s[0:4], date_s[5:7], date_s[8:10]
-    if (
-        len(date_s) != 10
-        or date_s[4] != sep
-        or date_s[7] != sep
-        or not _ascii_digits(year + month + day)
-    ):
-        raise ValueError(f"bad date {date_s!r}")
-    return date(int(year), int(month), int(day)).toordinal() - _EPOCH_ORDINAL
-
-
-def _epoch_seconds(date_s: str, time_s: str, sep: str) -> int:
-    """Epoch seconds for a 'YYYY?MM?DD' + 'HH:MM:SS' pair, interpreted as UTC."""
-    hh, mm, ss = time_s[0:2], time_s[3:5], time_s[6:8]
-    if (
-        len(time_s) != 8
-        or time_s[2] != ":"
-        or time_s[5] != ":"
-        or not _ascii_digits(hh + mm + ss)
-    ):
-        raise ValueError(f"bad time {time_s!r}")
-    hh, mm, ss = int(hh), int(mm), int(ss)
-    if not (0 <= hh < 24 and 0 <= mm < 60 and 0 <= ss < 60):
-        raise ValueError(f"bad time {time_s!r}")
-    return _days_since_epoch(date_s, sep) * 86400 + hh * 3600 + mm * 60 + ss
-
-
-def _coordinate(s: str) -> float:
-    # float() alone would also take "_" separators and non-ASCII digits.
-    if not s.isascii() or "_" in s:
-        raise ValueError(f"bad coordinate {s!r}")
-    return float(s)
-
-
 def _line_fault(line: str) -> str:
-    """Why a PLT data line is malformed, checking its fields in file order."""
+    """Why parse_plt rejects a data line: its kernels run on the line's fields in file order."""
     fields = line.split(",")
     if len(fields) != 7:
         return f"expected 7 fields, got {len(fields)}"
+    values, error = parse_numbers(fields[:2])
+    if len(values) < 2:
+        return str(error) if error else f"bad coordinate {fields[len(values)]!r}"
+    reason = _stamp_fault(fields[5], fields[6], "-")
+    if reason is None:
+        raise AssertionError(f"no fault in flagged line {line!r}")
+    return reason
+
+
+def _stamp_fault(date_s: str, time_s: str, sep: str) -> str | None:
+    """Why _timestamps rejects a date and time pair, the time checked first, or None."""
+    if _timestamps([f"1970{sep}01{sep}01"], [time_s], sep)[1] == 0:
+        return f"bad time {time_s!r}"
+    numbers, first = _stamp_numbers([date_s], ["00:00:00"], sep)
+    if first == 0:
+        return f"bad date {date_s!r}"
     try:
-        _coordinate(fields[0])
-        _coordinate(fields[1])
-        _epoch_seconds(fields[5], fields[6], "-")
-    except ValueError as exc:
+        _days(int(numbers[0, 0]) // 100)
+    except ValueError as exc:  # the calendar's own reason
         return str(exc)
-    raise AssertionError(f"no fault in flagged line {line!r}")
+    return None
 
 
 def _interleave(a: list[str], b: list[str]) -> list[str]:
@@ -192,13 +166,9 @@ def _interleave(a: list[str], b: list[str]) -> list[str]:
     return pairs
 
 
-def _coordinates(lats: list[str], lons: list[str]) -> tuple[list[float], int]:
-    """Latitude, longitude values row by row, and the first row with a bad field.
-
-    Equivalent to mapping _coordinate over the fields, but its character
-    checks run once over all of them.
-    """
-    fields = _interleave(lats, lons)
+def parse_numbers(fields: list[str]) -> tuple[list[float], ValueError | None]:
+    """The float of each field up to the first that is not an ASCII number without "_"
+    (which float() alone would take), and float's error for that field if its characters passed."""
     n = len(fields)
     text = "".join(fields)
     if not text.isascii() or "_" in text:
@@ -208,18 +178,19 @@ def _coordinates(lats: list[str], lons: list[str]) -> tuple[list[float], int]:
     values: list[float] = []
     try:
         values.extend(map(float, fields[:n]))
-    except ValueError:
-        pass  # values holds everything before the bad field
-    return values, len(values) // 2
+    except ValueError as exc:
+        return values, exc  # values holds everything before the bad field
+    return values, None
 
 
-# One "YYYY-MM-DD,HH:MM:SS," slot of date/time text, byte by byte: the
+# One "YYYY?MM?DD\nHH:MM:SS\n" slot of date/time text, byte by byte: the
 # lowest byte allowed at each position and how far above it a byte may go
-# (a digit, or the separator itself; a month, day, hour, minute or second
-# cannot start above 1, 3, 2, 5 or 5), then each digit's place value in
-# the number YYYYMMDDHH and in the seconds past the hour.
-_STAMP_LO = np.frombuffer(b"0000-00-00,00:00:00,", np.uint8)
-_STAMP_SPAN = np.frombuffer(b"9999-19-39,29:59:59,", np.uint8) - _STAMP_LO
+# (a digit, or the separator itself; an hour, minute or second cannot start
+# above 2, 5 or 5, and datetime.date alone judges the date's digits), then
+# each digit's place value in the number YYYYMMDDHH and in the seconds past
+# the hour. Fields come from split lines, so none holds the "\n" joiner.
+_STAMP_LO = {sep: np.frombuffer(f"0000{sep}00{sep}00\n00:00:00\n".encode(), np.uint8) for sep in "-/"}
+_STAMP_SPAN = np.frombuffer(b"9999-99-99\n29:59:59\n", np.uint8) - _STAMP_LO["-"]
 _STAMP_PLACES = np.zeros((20, 2), np.int64)
 _STAMP_PLACES[[0, 1, 2, 3, 5, 6, 8, 9, 11, 12], 0] = [10**9, 10**8, 10**7, 10**6, 10**5, 10**4, 1000, 100, 10, 1]
 _STAMP_PLACES[[14, 15, 17, 18], 1] = [600, 60, 10, 1]
@@ -232,37 +203,43 @@ _COORDINATE_LIMITS = np.array([90.0, 180.0])
 _BATCH_BYTES = 16 * 1024
 
 
+def _days(yyyymmdd: int) -> int:
+    """Days from the Unix epoch to the date written as YYYYMMDD; ValueError if there is no such date."""
+    return date(yyyymmdd // 10000, yyyymmdd // 100 % 100, yyyymmdd % 100).toordinal() - _EPOCH_ORDINAL
+
+
 @lru_cache(maxsize=4096)
 def _hour_start(yyyymmddhh: int) -> int:
     """Epoch seconds at the start of the hour written as YYYYMMDDHH, or _NO_HOUR."""
     day, hour = divmod(yyyymmddhh, 100)
     try:
-        days = date(day // 10000, day // 100 % 100, day % 100).toordinal() - _EPOCH_ORDINAL
+        days = _days(day)
     except ValueError:
         return _NO_HOUR
     return days * 86400 + hour * 3600 if hour < 24 else _NO_HOUR
 
 
-def _timestamps(dates: list[str], times: list[str]) -> tuple[np.ndarray, int]:
-    """Epoch seconds of paired 'YYYY-MM-DD' and 'HH:MM:SS' fields, and the
-    index of the first bad pair.
+def _stamp_numbers(dates: list[str], times: list[str], sep: str) -> tuple[np.ndarray, int]:
+    """YYYYMMDDHH and seconds past the hour of each date and time pair, one row per whole 20-byte
+    slot (date, newline, time, newline), and the index of the first pair whose bytes are out of bounds.
 
-    Each pair becomes one 20-byte "date,time," slot. No field holds a
-    comma and every character becomes one byte, so a slot whose bytes are
-    in bounds has its commas, and hence its fields' lengths, where they
-    belong, and so does every slot before it. ``datetime.date`` decides
-    calendar validity, once per distinct date and hour.
+    Every character becomes one byte, so a slot whose bytes are in bounds has its joiners, and
+    hence its fields' lengths, where they belong, and so does every slot before it.
     """
     n = len(dates)
-    buf = np.frombuffer((",".join(_interleave(dates, times)) + ",").encode("ascii", "replace"), np.uint8)
+    buf = np.frombuffer(("\n".join(_interleave(dates, times)) + "\n").encode("ascii", "replace"), np.uint8)
     slots = buf[: 20 * min(n, len(buf) // 20)].reshape(-1, 20)
-    yyyymmddhh, seconds = (np.dot(slots, _STAMP_PLACES) - _STAMP_ZERO).T
+    out_of_bounds = ((slots - _STAMP_LO[sep]) > _STAMP_SPAN).any(axis=1)
+    return np.dot(slots, _STAMP_PLACES) - _STAMP_ZERO, _first_false(~out_of_bounds)
+
+
+def _timestamps(dates: list[str], times: list[str], sep: str) -> tuple[np.ndarray, int]:
+    """Epoch seconds of paired 'YYYY?MM?DD' (? being sep) and 'HH:MM:SS' fields, and the index of
+    the first bad pair; ``datetime.date`` decides calendar validity, once per distinct date and hour."""
+    numbers, first = _stamp_numbers(dates, times, sep)
+    yyyymmddhh, seconds = numbers.T
     hour_start = np.array(list(map(_hour_start, yyyymmddhh.tolist())), np.int64)
-    first = _first_false(hour_start != _NO_HOUR)
-    out_of_bounds = np.flatnonzero((slots - _STAMP_LO) > _STAMP_SPAN)
-    if out_of_bounds.size:
-        first = min(first, int(out_of_bounds[0]) // 20)
-    return hour_start + seconds, first
+    return hour_start + seconds, min(first, _first_false(hour_start != _NO_HOUR))
 
 
 def _first_false(ok: np.ndarray) -> int:
@@ -324,9 +301,9 @@ def parse_plt(*files: bytes | str) -> Track:
         wrong = [i for i, c in enumerate(commas) if c != 6 and lines[i].strip()]
         lines_of = [lines[i] for i in rows]
     fields = ",".join(lines_of).split(",") if lines_of else []
-    coordinates, coordinates_bad = _coordinates(fields[0::7], fields[1::7])
-    t, stamp_bad = _timestamps(fields[5::7], fields[6::7])
-    first_bad = min(coordinates_bad, stamp_bad)
+    coordinates, _ = parse_numbers(_interleave(fields[0::7], fields[1::7]))
+    t, stamp_bad = _timestamps(fields[5::7], fields[6::7], "-")
+    first_bad = min(len(coordinates) // 2, stamp_bad)
     bad_lines = wrong[:1] + ([rows[first_bad]] if first_bad < len(rows) else [])
     if bad_lines:
         i = min(bad_lines)
@@ -345,14 +322,20 @@ def parse_plt(*files: bytes | str) -> Track:
     return Track._of(t, lat_lon[:, 0], lat_lon[:, 1])
 
 
+def _format_stamps(t, sep: str, joiner: str) -> list[str]:
+    """'YYYY?MM?DD' + joiner + 'HH:MM:SS' text (? being sep) of whole-second epoch times in years 1-9999."""
+    # numpy writes "YYYY-MM-DDTHH:MM:SS", each year in four digits.
+    stamps = np.datetime_as_string(np.asarray(t, np.int64).astype("datetime64[s]")).astype("U19")
+    chars = stamps.view(np.uint32).reshape(-1, 19)
+    chars[:, [4, 7]] = ord(sep)
+    chars[:, 10] = ord(joiner)
+    return stamps.tolist()
+
+
 def format_plt(track: Track) -> str:
     """Render a track back into .plt text (whole-second timestamps)."""
-    t = track.t
-    # "YYYY-MM-DDTHH:MM:SS" (years 1-9999 take four digits), then "," for "T".
-    stamps = np.datetime_as_string(t.astype("datetime64[s]")).astype("U19")
-    stamps.view(np.uint32).reshape(-1, 19)[:, 10] = ord(",")
-    frac_days = t / 86400.0 + _EPOCH_OFFSET_DAYS
-    columns = zip(track.lat.tolist(), track.lon.tolist(), frac_days.tolist(), stamps.tolist())
+    frac_days = track.t / 86400.0 + _EPOCH_OFFSET_DAYS
+    columns = zip(track.lat.tolist(), track.lon.tolist(), frac_days.tolist(), _format_stamps(track.t, "-", ","))
     return PLT_HEADER + "".join([f"{lat!r},{lon!r},0,0,{days!r},{stamp}\n" for lat, lon, days, stamp in columns])
 
 
@@ -361,62 +344,59 @@ def parse_labels(data: bytes | str) -> tuple[list[TripLabel], int]:
 
     The first line is a header; data lines are tab-separated
     "YYYY/MM/DD HH:MM:SS" start, same-format end, and a modality token.
-    Unknown modality tokens are preserved verbatim. Rows whose start time
-    is not before their end time are dropped and counted as the second
-    element of the returned pair.
+    Blank lines are skipped and fields are stripped. Unknown modality
+    tokens are preserved verbatim. Rows whose start time is not before
+    their end time are dropped and counted as the second element of the
+    returned pair. Like parse_plt, it checks a column at a time.
 
     Raises:
-        MalformedLine: wrong field count or unparsable dates.
+        MalformedLine: wrong field count, unparsable stamps or an empty
+            modality, for the first such line.
         EmptyFile: no data lines after the header.
     """
     lines = _decode(data).splitlines()
-    labels: list[TripLabel] = []
-    n_data = 0
-    n_dropped = 0
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        n_data += 1
-        try:
-            start = _parse_label_time(fields[0])
-            end = _parse_label_time(fields[1])
-        except ValueError as exc:
-            raise MalformedLine(line_no, str(exc)) from None
-        modality = fields[2].strip()
-        if not modality:
-            raise MalformedLine(line_no, "empty modality token")
-        if start >= end:
-            n_dropped += 1
-            continue
-        labels.append(TripLabel(start, end, modality))
-    if n_data == 0:
+    where = [i for i, line in enumerate(lines) if i and line.strip()]
+    if not where:
         raise EmptyFile("no data lines after the header")
+    rows = [lines[i] for i in where]
+    n = _first_false(np.array(list(map(str.count, rows, repeat("\t")))) == 2)
+    fields = "\t".join(rows[:n]).split("\t") if n else []
+    stamps = list(map(str.strip, _interleave(fields[0::3], fields[1::3])))
+    n_stamps = _first_false(np.array(list(map(str.count, stamps, repeat(" ")))) == 1)
+    parts = " ".join(stamps[:n_stamps]).split(" ") if n_stamps else []
+    t, stamp_bad = _timestamps(parts[0::2], parts[1::2], "/")
+    modalities = list(map(str.strip, fields[2::3]))
+    first_bad = min(n, n_stamps // 2, stamp_bad // 2, modalities.index("") if "" in modalities else n)
+    if first_bad < len(rows):
+        raise MalformedLine(where[first_bad] + 1, _label_fault(rows[first_bad]))
+    start, end = t.reshape(-1, 2).T.tolist()
+    labels = [TripLabel(*label) for label in zip(start, end, modalities) if label[0] < label[1]]
+    n_dropped = len(rows) - len(labels)
     if n_dropped:
         log.warning("dropped %d label row(s) with start >= end", n_dropped)
     return labels, n_dropped
 
 
-def _parse_label_time(stamp: str) -> int:
-    parts = stamp.strip().split(" ")
-    if len(parts) != 2:
-        raise ValueError(f"bad timestamp {stamp!r}")
-    return _epoch_seconds(parts[0], parts[1], "/")
+def _label_fault(line: str) -> str:
+    """Why parse_labels rejects a data line: its kernels run on the line's fields in line order."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        return f"expected 3 tab-separated fields, got {len(fields)}"
+    for stamp in fields[:2]:
+        parts = stamp.strip().split(" ")
+        reason = _stamp_fault(*parts, "/") if len(parts) == 2 else f"bad timestamp {stamp!r}"
+        if reason is not None:
+            return reason
+    if not fields[2].strip():
+        return "empty modality token"
+    raise AssertionError(f"no fault in flagged line {line!r}")
 
 
 def format_labels(labels: list[TripLabel]) -> str:
     """Render labels back into labels.txt text (whole-second times)."""
-    rows = []
-    for lab in labels:
-        start = datetime.fromtimestamp(int(lab.start_time), tz=timezone.utc)
-        end = datetime.fromtimestamp(int(lab.end_time), tz=timezone.utc)
-        # %Y does not zero-pad years below 1000, which the parser requires.
-        rows.append(
-            f"{start.year:04d}/{start:%m/%d %H:%M:%S}\t{end.year:04d}/{end:%m/%d %H:%M:%S}\t{lab.modality}\n"
-        )
-    return LABELS_HEADER + "".join(rows)
+    stamps = _format_stamps([int(t) for lab in labels for t in (lab.start_time, lab.end_time)], "/", " ")
+    rows = zip(stamps[0::2], stamps[1::2], labels)
+    return LABELS_HEADER + "".join([f"{start}\t{end}\t{lab.modality}\n" for start, end, lab in rows])
 
 
 def assemble_trips(archive: UserArchive) -> tuple[list[Trip], int, int]:

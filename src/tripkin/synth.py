@@ -219,11 +219,11 @@ def write_corpus(corpus: SyntheticCorpus, root: str | Path) -> None:
     for trip in corpus.trips:
         start = int(trip.points.t[0])
         end = int(trip.points.t[-1])
-        (data / trip.user_id / "Trajectory" / f"{start}.plt").write_text(format_plt(trip.points))
+        (data / trip.user_id / "Trajectory" / f"{start}.plt").write_text(format_plt(trip.points), encoding="utf-8")
         labels[trip.user_id].append(TripLabel(start, end, trip.modality))
     for uid, labs in labels.items():
         labs.sort(key=lambda lab: lab.start_time)
-        (data / uid / "labels.txt").write_text(format_labels(labs))
+        (data / uid / "labels.txt").write_text(format_labels(labs), encoding="utf-8")
 
 
 def load_profiles(path: str | Path) -> list[UserProfile]:
@@ -238,7 +238,7 @@ def load_profiles(path: str | Path) -> list[UserProfile]:
             these rules or UserProfile's checks; the message names the
             entry's index and key.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not raw:
         raise ValueError("profile file must hold a nonempty JSON list")

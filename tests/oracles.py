@@ -70,7 +70,7 @@ def _plain_digits(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
-def _plt_epoch_seconds(date_s: str, time_s: str) -> int:
+def _epoch_seconds(date_s: str, time_s: str, sep: str = "-") -> int:
     hh, mm, ss = time_s[0:2], time_s[3:5], time_s[6:8]
     if len(time_s) != 8 or time_s[2] != ":" or time_s[5] != ":" or not _plain_digits(hh + mm + ss):
         raise ValueError(f"bad time {time_s!r}")
@@ -78,7 +78,7 @@ def _plt_epoch_seconds(date_s: str, time_s: str) -> int:
     if not (0 <= hh < 24 and 0 <= mm < 60 and 0 <= ss < 60):
         raise ValueError(f"bad time {time_s!r}")
     year, month, day = date_s[0:4], date_s[5:7], date_s[8:10]
-    if len(date_s) != 10 or date_s[4] != "-" or date_s[7] != "-" or not _plain_digits(year + month + day):
+    if len(date_s) != 10 or date_s[4] != sep or date_s[7] != sep or not _plain_digits(year + month + day):
         raise ValueError(f"bad date {date_s!r}")
     days = date(int(year), int(month), int(day)).toordinal() - date(1970, 1, 1).toordinal()
     return days * 86400 + hh * 3600 + mm * 60 + ss
@@ -90,6 +90,20 @@ def _plt_coordinate(s: str) -> float:
     return float(s)
 
 
+def _text(data: bytes | str) -> str:
+    """UTF-8 text of a file; bad bytes raise MalformedLine for the line holding the first one."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # surrogateescape turns each bad byte into a lone surrogate,
+        # which valid UTF-8 never decodes to and which breaks no line.
+        lines = data.decode("utf-8", "surrogateescape").splitlines()
+        line_no = next(i for i, line in enumerate(lines, 1) if any("\udc80" <= c <= "\udcff" for c in line))
+        raise MalformedLine(line_no, f"undecodable bytes: {exc}") from None
+
+
 def parse_plt_lines(data: bytes | str) -> tuple[list[int], list[float], list[float]]:
     """The line-at-a-time PLT parser: (t, lat, lon) lists in file order.
 
@@ -99,18 +113,9 @@ def parse_plt_lines(data: bytes | str) -> tuple[list[int], list[float], list[flo
     raises MalformedLine, and so do bytes that are not UTF-8, for the line
     (as ``str.splitlines`` numbers them) that holds the first such byte.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # surrogateescape turns each bad byte into a lone surrogate,
-            # which valid UTF-8 never decodes to and which breaks no line.
-            lines = data.decode("utf-8", "surrogateescape").splitlines()
-            line_no = next(i for i, line in enumerate(lines, 1) if any("\udc80" <= c <= "\udcff" for c in line))
-            raise MalformedLine(line_no, f"undecodable bytes: {exc}") from None
     t, lat, lon = [], [], []
     n_data = 0
-    for line_no, line in enumerate(data.splitlines()[6:], start=7):
+    for line_no, line in enumerate(_text(data).splitlines()[6:], start=7):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -120,7 +125,7 @@ def parse_plt_lines(data: bytes | str) -> tuple[list[int], list[float], list[flo
         try:
             la = _plt_coordinate(fields[0])
             lo = _plt_coordinate(fields[1])
-            ts = _plt_epoch_seconds(fields[5], fields[6])
+            ts = _epoch_seconds(fields[5], fields[6])
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from None
         if -90.0 <= la <= 90.0 and -180.0 <= lo <= 180.0:
@@ -130,6 +135,49 @@ def parse_plt_lines(data: bytes | str) -> tuple[list[int], list[float], list[flo
     if n_data == 0:
         raise EmptyFile("no data lines after the 6-line header")
     return t, lat, lon
+
+
+def _label_time(stamp: str) -> int:
+    parts = stamp.strip().split(" ")
+    if len(parts) != 2:
+        raise ValueError(f"bad timestamp {stamp!r}")
+    return _epoch_seconds(parts[0], parts[1], "/")
+
+
+def parse_labels_lines(data: bytes | str) -> tuple[list[tuple[int, int, str]], int]:
+    """The line-at-a-time labels.txt parser: ((start, end, modality) rows, rows dropped for start >= end).
+
+    Same rules and messages as ``ingest.parse_labels``: a header line, blank
+    lines skipped, 3 tab-separated fields per line, each stamp
+    "YYYY/MM/DD HH:MM:SS" after stripping, start before end before the
+    modality, which must not be empty once stripped; the first bad line
+    raises MalformedLine.
+    """
+    labels = []
+    n_data = 0
+    n_dropped = 0
+    for line_no, line in enumerate(_text(data).splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        n_data += 1
+        try:
+            start = _label_time(fields[0])
+            end = _label_time(fields[1])
+        except ValueError as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+        modality = fields[2].strip()
+        if not modality:
+            raise MalformedLine(line_no, "empty modality token")
+        if start >= end:
+            n_dropped += 1
+            continue
+        labels.append((start, end, modality))
+    if n_data == 0:
+        raise EmptyFile("no data lines after the header")
+    return labels, n_dropped
 
 
 def format_plt_datetime(t, lat, lon) -> str:

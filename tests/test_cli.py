@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import os
@@ -469,6 +470,34 @@ def test_command_loads_no_numpy_ma(corpus_dir, features_csv, tmp_path, command):
     argv = [sys.executable, "-c", code, command, *source, "--out", str(tmp_path / "out")]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_files_are_utf8_whatever_the_locale(corpus_dir, tmp_path):
+    # parse_labels keeps a non-ASCII modality verbatim, so features.csv holds it.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir / "raw", corpus)
+    labels = corpus / "Data" / "000" / "labels.txt"
+    header, *rows = labels.read_text(encoding="utf-8").splitlines()
+    labels.write_text("\n".join([header, *(row.rsplit("\t", 1)[0] + "\tvélo" for row in rows)]) + "\n", encoding="utf-8")
+    base = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    ascii_env = {**base, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    probe = [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"]
+    encoding = subprocess.run(probe, env=ascii_env, capture_output=True, text=True, check=True).stdout.strip()
+    if codecs.lookup(encoding).name != "ascii":
+        pytest.skip(f"the C locale's encoding here is {encoding}, not ASCII")
+
+    def tripkin(env, *argv):
+        done = subprocess.run([sys.executable, "-m", "tripkin.cli", *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    for name, env in (("ascii", ascii_env), ("utf8", {**base, "PYTHONUTF8": "1"})):
+        tripkin(env, "extract", "--root", str(corpus), "--out", str(tmp_path / name))
+    features = tmp_path / "ascii" / "features.csv"
+    for command in ("classify", "anomaly"):
+        tripkin(ascii_env, command, "--features", str(features), "--out", str(tmp_path / "ascii"))
+    assert list((tmp_path / "ascii").glob("*.tmp")) == []
+    assert ",vélo,".encode() in features.read_bytes()
+    assert features.read_bytes() == (tmp_path / "utf8" / "features.csv").read_bytes()
 
 
 class TestConfigFile:

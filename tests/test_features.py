@@ -484,3 +484,18 @@ class TestCsvRoundTrip:
             "user_id,modality,duration_s,max_speed,min_speed,max_pos_accel,"
             "min_neg_accel,mean_speed,mean_abs_accel,std_speed,std_accel,std_abs_accel"
         )
+
+    def test_failed_write_leaves_no_tmp_and_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("old\n")
+
+        def rows():
+            yield ("000", "vélo")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            features.write_csv(path, CSV_COLUMNS[:2], rows())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]
+        assert path.read_text() == "old\n"
+        features.write_csv(path, CSV_COLUMNS[:2], [("000", "vélo")])
+        assert path.read_bytes() == "user_id,modality\r\n000,vélo\r\n".encode()

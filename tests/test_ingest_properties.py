@@ -1,11 +1,13 @@
-"""Property tests for the columnar PLT reader and writer, and the label writer.
+"""Property tests for the columnar PLT and label readers and their writers.
 
-parse_plt checks a whole file's fields at once; the line-at-a-time
-parser in oracles.py is the reference it must agree with, result for
-result and error message for error message. Given several files, it must
-return what parsing each alone returns, concatenated, or raise if any
-file fails alone.
+parse_plt and parse_labels check a whole file's fields at once; the
+line-at-a-time parsers in oracles.py are the references they must agree
+with, result for result and error message for error message. Given
+several files, parse_plt must return what parsing each alone returns,
+concatenated, or raise if any file fails alone.
 """
+
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from tripkin.geokinematics import T_MAX, T_MIN, Track
 from tripkin.ingest import (
+    LABELS_HEADER,
     PLT_HEADER,
     EmptyFile,
     MalformedLine,
@@ -24,7 +27,7 @@ from tripkin.ingest import (
     parse_plt,
 )
 
-from oracles import format_plt_datetime, parse_plt_lines
+from oracles import format_plt_datetime, parse_labels_lines, parse_plt_lines
 
 FULL_WIDTH = "０１２３９"
 FIELD_CHARS = "0123456789-:._+ e" + FULL_WIDTH + "x\t"
@@ -176,3 +179,88 @@ def test_format_labels_then_parse_is_identity(labels):
     text = format_labels(labels)
     assert parse_labels(text) == (labels, 0)
     assert parse_labels(text.encode()) == (labels, 0)
+
+
+# What one damaged character of a stamp becomes: a digit that may break the
+# calendar or a range, a wrong separator, a space, a byte no stamp holds, a
+# non-ASCII digit, nothing, or two characters.
+STAMP_DAMAGE = ["0", "1", "3", "9", "/", "-", ":", " ", "x", ",", "\x00", "０", "٣", "é", "", "00"]
+# Whitespace that str.strip removes and str.splitlines does not split on.
+PADDING = ["", " ", "  ", "\xa0", "\u3000"]
+
+
+@st.composite
+def damaged(draw, text):
+    at = draw(st.integers(0, len(text) - 1))
+    return text[:at] + draw(st.sampled_from(STAMP_DAMAGE)) + text[at + 1 :]
+
+
+@st.composite
+def label_stamp(draw, clean, t):
+    moment = datetime.fromtimestamp(t, tz=timezone.utc)
+    date_s, time_s, space = f"{moment.year:04d}/{moment:%m/%d}", f"{moment:%H:%M:%S}", " "
+    damage = "" if clean else draw(st.sampled_from(["", "", "date", "time", "both", "space", "calendar"]))
+    if damage == "calendar":
+        date_s = draw(st.sampled_from(["2008/02/30", "2007/02/29", "2008/13/01", "2008/00/10", "2008/04/31", "0000/01/01"]))
+    if damage in ("date", "both"):
+        date_s = draw(damaged(date_s))
+    if damage in ("time", "both"):
+        time_s = draw(damaged(time_s))
+    if damage == "space":
+        space = draw(st.sampled_from(["", "  ", " \xa0"]))
+    return draw(st.sampled_from(PADDING)) + date_s + space + time_s + draw(st.sampled_from(PADDING))
+
+
+modality_text = st.one_of(
+    st.sampled_from(["walk", "bus", "vélo", "taxi cab"]),
+    st.text("abé ,/:0\xa0", max_size=5).filter(str.strip),
+)
+
+
+@st.composite
+def label_line(draw, clean):
+    # Mostly start < end; some start == end and some start > end.
+    start = draw(st.integers(T_MIN, T_MAX))
+    end = min(T_MAX, max(T_MIN, start + draw(st.sampled_from([-1, 0, 1, 3600, 10**6]))))
+    start, end = draw(label_stamp(clean, start)), draw(label_stamp(clean, end))
+    modality = draw(modality_text)
+    if not clean and draw(st.integers(0, 4)) == 0:
+        modality = draw(st.sampled_from(PADDING))
+    fields = [start, end, draw(st.sampled_from(PADDING)) + modality]
+    if not clean and draw(st.integers(0, 4)) == 0:
+        fields = draw(st.sampled_from([fields[:1], fields[:2], fields + [modality]]))
+    return "\t".join(fields)
+
+
+@st.composite
+def labels_file(draw):
+    # Half the files hold only well-formed lines, so results as well as
+    # failures are compared.
+    clean = draw(st.booleans())
+    lines = draw(st.lists(st.one_of(label_line(clean), label_line(clean), blank_line), max_size=8))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = LABELS_HEADER.rstrip("\n")
+    if draw(st.booleans()):
+        header = "\ufeff" + header
+    text = newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
+    if draw(st.booleans()):
+        return text
+    raw = text.encode()
+    if draw(st.sampled_from([False] * 7 + [True])):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])) + raw[at:]
+    return raw
+
+
+def label_outcome(parse, data):
+    try:
+        labels, dropped = parse(data)
+    except (MalformedLine, EmptyFile) as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return [(lab.start_time, lab.end_time, lab.modality) if isinstance(lab, TripLabel) else lab for lab in labels], dropped
+
+
+@settings(max_examples=600, deadline=None)
+@given(labels_file())
+def test_parse_labels_matches_line_parser(data):
+    assert label_outcome(parse_labels, data) == label_outcome(parse_labels_lines, data)
