@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -50,6 +51,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("--min-trips must be positive")
     if not args.iqr_mult > 0:
         raise ValueError("--iqr-mult must be positive")
+    if not math.isfinite(args.iqr_mult):
+        raise ValueError(f"--iqr-mult must be finite, got {args.iqr_mult}")
     if not 0.0 < args.rate < 1.0:
         raise ValueError("--rate must be in (0, 1)")
     if args.trials < 1:
@@ -89,7 +92,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     def user_trips(archive: ingest.UserArchive) -> list[ingest.Trip]:
         trips, skipped, duplicates = ingest.assemble_trips(archive)
-        tally.update(users=bool(archive.labels), quarantined=len(archive.quarantined))
+        tally.update(users=bool(archive.labels.modality), quarantined=len(archive.quarantined))
         tally.update(trips=len(trips), skipped=skipped, duplicates=duplicates)
         log.info("user %s: %d trips (%d labels skipped)", archive.user_id, len(trips), skipped)
         return trips

@@ -215,7 +215,8 @@ def compute_iqr_bounds(matrix, multiplier: float = 1.5) -> IqrBounds:
     q1 = np.array([quantile(mat[:, j], 0.25) for j in range(mat.shape[1])])
     q3 = np.array([quantile(mat[:, j], 0.75) for j in range(mat.shape[1])])
     iqr = q3 - q1
-    return IqrBounds(q1=q1, q3=q3, lower=q1 - multiplier * iqr, upper=q3 + multiplier * iqr)
+    with np.errstate(over="ignore"):  # a fence beyond the float range is -inf or inf
+        return IqrBounds(q1=q1, q3=q3, lower=q1 - multiplier * iqr, upper=q3 + multiplier * iqr)
 
 
 def filter_outlier_trips(rows: np.ndarray, bounds: IqrBounds) -> np.ndarray:

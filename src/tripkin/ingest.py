@@ -3,7 +3,8 @@
 The on-disk layout is ``root/Data/<user_id>/Trajectory/*.plt`` plus an
 optional ``root/Data/<user_id>/labels.txt`` per user. Only users with a
 label file (and at least one valid label) are loadable; the label
-intervals replace any trip segmentation of the raw traces.
+intervals, held as Labels columns in start order from parse_labels to
+assemble_trips, replace any trip segmentation of the raw traces.
 
 All times are parsed from the date/time text fields and treated as UTC,
 which is the dataset's convention. The fractional-days field is ignored
@@ -31,11 +32,11 @@ from datetime import date
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geokinematics import T_MAX, T_MIN, T_RANGE, Track
+from .geokinematics import Track
 
 log = logging.getLogger(__name__)
 
@@ -72,24 +73,14 @@ class MissingRoot(FileNotFoundError):
     """The dataset root does not have the expected Data/ directory."""
 
 
-@dataclass(frozen=True, slots=True)
-class TripLabel:
-    """One labeled trip interval: [start_time, end_time] plus a modality token.
+class Labels(NamedTuple):
+    """A labels.txt's rows with start < end as three equal-length lists (arrays would make
+    UserArchive's == ambiguous), in start order with ties in file order: start and end
+    epoch seconds and the modality token."""
 
-    Both times must lie in years 1-9999, the range labels.txt can hold.
-    """
-
-    start_time: float
-    end_time: float
-    modality: str
-
-    def __post_init__(self) -> None:
-        if not self.start_time < self.end_time:
-            raise ValueError(
-                f"label start {self.start_time!r} must precede end {self.end_time!r}"
-            )
-        if not (T_MIN <= self.start_time and self.end_time <= T_MAX):
-            raise ValueError(f"label times out of range {T_RANGE}")
+    start: list[int]
+    end: list[int]
+    modality: list[str]
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,7 @@ class Trip:
 
 @dataclass(frozen=True)
 class UserArchive:
-    """Everything loaded for one user: raw trajectories plus sorted labels.
+    """Everything loaded for one user: raw trajectories plus labels in start order.
 
     Each track in trajectories holds the points of one or more of the
     user's .plt files, parsed together; the tracks, in order, give every
@@ -123,13 +114,8 @@ class UserArchive:
 
     user_id: str
     trajectories: list[Track]
-    labels: list[TripLabel]
+    labels: Labels
     quarantined: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.labels, self.labels[1:]):
-            if cur.start_time < prev.start_time:
-                raise ValueError("labels must be sorted by start_time")
 
 
 def _line_fault(line: str) -> str:
@@ -339,15 +325,16 @@ def format_plt(track: Track) -> str:
     return PLT_HEADER + "".join([f"{lat!r},{lon!r},0,0,{days!r},{stamp}\n" for lat, lon, days, stamp in columns])
 
 
-def parse_labels(data: bytes | str) -> tuple[list[TripLabel], int]:
-    """Parse a labels.txt file into trip labels.
+def parse_labels(data: bytes | str) -> tuple[Labels, int]:
+    """Parse a labels.txt file into label columns in start order.
 
     The first line is a header; data lines are tab-separated
     "YYYY/MM/DD HH:MM:SS" start, same-format end, and a modality token.
     Blank lines are skipped and fields are stripped. Unknown modality
     tokens are preserved verbatim. Rows whose start time is not before
     their end time are dropped and counted as the second element of the
-    returned pair. Like parse_plt, it checks a column at a time.
+    returned pair; the rest are stably sorted by start. Like parse_plt,
+    it checks a column at a time.
 
     Raises:
         MalformedLine: wrong field count, unparsable stamps or an empty
@@ -369,9 +356,11 @@ def parse_labels(data: bytes | str) -> tuple[list[TripLabel], int]:
     first_bad = min(n, n_stamps // 2, stamp_bad // 2, modalities.index("") if "" in modalities else n)
     if first_bad < len(rows):
         raise MalformedLine(where[first_bad] + 1, _label_fault(rows[first_bad]))
-    start, end = t.reshape(-1, 2).T.tolist()
-    labels = [TripLabel(*label) for label in zip(start, end, modalities) if label[0] < label[1]]
-    n_dropped = len(rows) - len(labels)
+    start, end = t.reshape(-1, 2).T
+    kept = np.flatnonzero(start < end)
+    order = kept[np.argsort(start[kept], kind="stable")]
+    labels = Labels(start[order].tolist(), end[order].tolist(), [modalities[i] for i in order.tolist()])
+    n_dropped = len(rows) - len(order)
     if n_dropped:
         log.warning("dropped %d label row(s) with start >= end", n_dropped)
     return labels, n_dropped
@@ -392,11 +381,11 @@ def _label_fault(line: str) -> str:
     raise AssertionError(f"no fault in flagged line {line!r}")
 
 
-def format_labels(labels: list[TripLabel]) -> str:
-    """Render labels back into labels.txt text (whole-second times)."""
-    stamps = _format_stamps([int(t) for lab in labels for t in (lab.start_time, lab.end_time)], "/", " ")
-    rows = zip(stamps[0::2], stamps[1::2], labels)
-    return LABELS_HEADER + "".join([f"{start}\t{end}\t{lab.modality}\n" for start, end, lab in rows])
+def format_labels(labels: Labels) -> str:
+    """Render label columns back into labels.txt text (whole-second times), row by row."""
+    stamps = _format_stamps(np.column_stack((labels.start, labels.end)).ravel(), "/", " ")
+    rows = zip(stamps[0::2], stamps[1::2], labels.modality)
+    return LABELS_HEADER + "".join([f"{start}\t{end}\t{modality}\n" for start, end, modality in rows])
 
 
 def assemble_trips(archive: UserArchive) -> tuple[list[Trip], int, int]:
@@ -423,14 +412,10 @@ def assemble_trips(archive: UserArchive) -> tuple[list[Trip], int, int]:
     )
 
     labels = archive.labels
-    lo = np.searchsorted(merged.t, [lab.start_time for lab in labels], "left").tolist()
-    hi = np.searchsorted(merged.t, [lab.end_time for lab in labels], "right").tolist()
-    trips = [
-        Trip(archive.user_id, lab.modality, merged[i:j])
-        for lab, i, j in zip(labels, lo, hi)
-        if j - i >= 2
-    ]
-    return trips, len(labels) - len(trips), len(t) - len(kept)
+    lo = np.searchsorted(merged.t, labels.start, "left").tolist()
+    hi = np.searchsorted(merged.t, labels.end, "right").tolist()
+    trips = [Trip(archive.user_id, modality, merged[i:j]) for modality, i, j in zip(labels.modality, lo, hi) if j - i >= 2]
+    return trips, len(labels.start) - len(trips), len(t) - len(kept)
 
 
 def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
@@ -468,12 +453,11 @@ def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
             n_unlabeled += 1
             continue
         except (MalformedLine, OSError) as exc:
-            yield UserArchive(user_dir.name, [], [], (_quarantine(labels_path, exc),))
+            yield UserArchive(user_dir.name, [], Labels([], [], []), (_quarantine(labels_path, exc),))
             continue
-        if not labels:
+        if not labels.start:
             n_unlabeled += 1
             continue
-        labels.sort(key=lambda lab: lab.start_time)
         # Built in a call, so this frame keeps no trajectories of a user
         # once it is yielded.
         yield _load_user(user_dir, labels)
@@ -481,7 +465,7 @@ def iter_user_archives(root: str | Path) -> Iterator[UserArchive]:
         log.info("skipped %d user(s) without usable labels", n_unlabeled)
 
 
-def _load_user(user_dir: Path, labels: list[TripLabel]) -> UserArchive:
+def _load_user(user_dir: Path, labels: Labels) -> UserArchive:
     """Read and parse a user's Trajectory/*.plt files in name order.
 
     Each file is read once. Files under _BATCH_BYTES are joined until their

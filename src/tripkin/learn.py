@@ -169,7 +169,7 @@ def train_tree(
     max_depth: int | None = None,
     min_samples_split: int = 2,
 ) -> DecisionTree:
-    """Grow an unpruned CART tree, one depth at a time.
+    """Grow an unpruned CART tree one depth at a time, then build its nodes deepest depth first.
 
     Growth stops at pure nodes, nodes below min_samples_split, nodes at
     max_depth (None = unlimited), and nodes whose rows are identical on
@@ -211,10 +211,9 @@ def train_tree(
     XT = X.T
     perm = np.argsort(XT, axis=1, kind="stable").astype(np.int32)  # int32 to save memory
     feat = np.arange(n_features)[:, None]  # row index of per-feature gathers
-    top = Split(-1, 0.0)  # stand-in parent: the root becomes its left child
-    slots: list[tuple[Split, str]] = [(top, "left")]  # (parent, side) of each node
+    levels = []  # per depth: node counts, split flags, features, thresholds, child counts, child grows
     depth = 0
-    while slots:
+    while len(node_counts):
         size = node_counts.sum(axis=1)
         start = np.cumsum(size) - size
         seg = np.repeat(np.arange(len(size)), size)  # node of each position
@@ -320,26 +319,11 @@ def train_tree(
             child * n_classes + y[rows], minlength=(2 * n_split + 1) * n_classes
         ).reshape(-1, n_classes)[:-1]
         child_grows = grows(child_counts, depth + 1)
-
-        next_slots: list[tuple[Split, str]] = []
-        # Children come left, then right; leaves copy their counts rather
-        # than keep the level's whole count array alive.
-        sides = iter(zip(child_counts, child_grows.tolist()))
-        for (parent, side), counts_k, f, t, splits in zip(
-            slots, node_counts, best_f.tolist(), thr.tolist(), split.tolist()
-        ):
-            node: TreeNode
-            if splits:
-                children = (next(sides), next(sides))
-                node = Split(f, t, *(None if g else Leaf(c.copy()) for c, g in children))
-                next_slots += [(node, s) for s, (_, g) in zip(("left", "right"), children) if g]
-            else:
-                node = Leaf(counts_k.copy())
-            setattr(parent, side, node)
+        levels.append((node_counts, split, best_f, thr, child_counts, child_grows))
 
         # Stable partition of every feature's row list by next-level node;
         # rows of leaves sort last and are cut off.
-        n_next = len(next_slots)
+        n_next = int(child_grows.sum())
         ids = np.full(2 * n_split + 1, n_next, dtype=np.min_scalar_type(n_next))  # radix-sortable
         ids[:-1][child_grows] = np.arange(n_next)
         next_of_row = np.empty(n, dtype=ids.dtype)
@@ -347,10 +331,20 @@ def train_tree(
         node_counts = child_counts[child_grows]
         keep = np.argsort(next_of_row[perm], axis=1, kind="stable")[:, : node_counts.sum()]
         perm = perm[feat, keep]
-        slots = next_slots
         depth += 1
-    assert top.left is not None
-    return DecisionTree(root=top.left, classes=classes)
+
+    # Deepest depth first: the children that grow are the next depth's
+    # nodes, in order, left child first. Leaves copy their counts rather
+    # than keep a depth's whole count array alive.
+    nodes: list[TreeNode] = []
+    for node_counts, split, best_f, thr, child_counts, child_grows in reversed(levels):
+        below = iter(nodes)
+        children = iter([next(below) if g else Leaf(c.copy()) for c, g in zip(child_counts, child_grows.tolist())])
+        nodes = [
+            Split(f, t, next(children), next(children)) if s else Leaf(c.copy())
+            for c, s, f, t in zip(node_counts, split.tolist(), best_f.tolist(), thr.tolist())
+        ]
+    return DecisionTree(root=nodes[0], classes=classes)
 
 
 def predict_batch(tree: DecisionTree, X) -> tuple[list[str], np.ndarray]:

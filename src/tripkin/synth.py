@@ -12,7 +12,6 @@ trip draws from its own seeded generator, the speed walk steps
 through the points for all trips at once, and the great-circle
 positions and noise are computed in one pass over the arrays. The result
 is one validated Track per user, and each Trip holds a slice of it.
-``generate_trip`` is a one-trip call of the same generator.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .geokinematics import EARTH_RADIUS_M, Track
-from .ingest import Trip, TripLabel, format_labels, format_plt
+from .ingest import Labels, Trip, format_labels, format_plt
 
 # Synthetic corpora start on 2010-01-01T00:00:00Z.
 _BASE_EPOCH = 1262304000
@@ -88,12 +87,8 @@ def modality_for_speed(cruise_speed: float) -> str:
     return "other"
 
 
-def generate_trip(
-    profile: UserProfile,
-    seed: int | list[int] | np.random.Generator,
-    start_time: float | None = None,
-) -> Trip:
-    """Simulate one trip for the profile.
+def _user_trips(profile: UserProfile, seeds: list, start_times: list) -> list[Trip]:
+    """One trip per (seed, start time) pair, computed as (trips, points) arrays.
 
     The per-trip cruise speed is drawn from N(mean_cruise_speed,
     speed_jitter); the per-interval speed walks from there with step std
@@ -101,13 +96,7 @@ def generate_trip(
     a single random bearing from a random mid-latitude origin, then get
     isotropic coordinate noise of gps_noise_std meters. Fix i is stamped
     int(start_time + i * sampling_period), whole seconds as in a PLT file;
-    without a start_time the trip starts on a random day of 2010.
-    """
-    return _user_trips(profile, [seed], [start_time])[0]
-
-
-def _user_trips(profile: UserProfile, seeds: list, start_times: list) -> list[Trip]:
-    """One trip per (seed, start time) pair, computed as (trips, points) arrays.
+    a start time of None starts the trip on a random day of 2010.
 
     Each trip draws from its own generator in a fixed order: the start
     day (only without a start time), origin latitude and longitude,
@@ -210,20 +199,19 @@ def write_corpus(corpus: SyntheticCorpus, root: str | Path) -> None:
     """Serialize a corpus in the Geolife directory layout.
 
     One PLT file per trip plus a labels.txt per user whose intervals span
-    each trip exactly.
+    each trip exactly, in start order (ties in trip order).
     """
     data = Path(root) / "Data"
-    labels: dict[str, list[TripLabel]] = {uid: [] for uid in corpus.profiles}
+    labels = {uid: Labels([], [], []) for uid in corpus.profiles}
     for uid in labels:
         (data / uid / "Trajectory").mkdir(parents=True, exist_ok=True)
-    for trip in corpus.trips:
-        start = int(trip.points.t[0])
-        end = int(trip.points.t[-1])
+    for trip in sorted(corpus.trips, key=lambda trip: int(trip.points.t[0])):
+        start, end = int(trip.points.t[0]), int(trip.points.t[-1])
         (data / trip.user_id / "Trajectory" / f"{start}.plt").write_text(format_plt(trip.points), encoding="utf-8")
-        labels[trip.user_id].append(TripLabel(start, end, trip.modality))
-    for uid, labs in labels.items():
-        labs.sort(key=lambda lab: lab.start_time)
-        (data / uid / "labels.txt").write_text(format_labels(labs), encoding="utf-8")
+        for column, value in zip(labels[trip.user_id], (start, end, trip.modality)):
+            column.append(value)
+    for uid, user_labels in labels.items():
+        (data / uid / "labels.txt").write_text(format_labels(user_labels), encoding="utf-8")
 
 
 def load_profiles(path: str | Path) -> list[UserProfile]:

@@ -8,8 +8,8 @@ import numpy as np
 
 from tripkin.features import FEATURE_NAMES, FeatureDataset, extract_features
 from tripkin.geokinematics import EARTH_RADIUS_M, Track
-from tripkin.ingest import Trip
-from tripkin.synth import UserProfile, generate_trip
+from tripkin.ingest import Labels, Trip
+from tripkin.synth import UserProfile, _user_trips
 
 METERS_PER_LON_DEGREE_AT_EQUATOR = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -28,6 +28,17 @@ def equator_trip(
         lons.append(lons[-1] + v * dt / METERS_PER_LON_DEGREE_AT_EQUATOR)
     times = [i * dt for i in range(len(lons))]
     return Trip(user_id, modality, Track(times, [0.0] * len(lons), lons))
+
+
+def generate_trip(profile: UserProfile, seed, start_time: float | None = None) -> Trip:
+    """One trip of the profile from synth's per-user generator: the seed's
+    trip starting at start_time, or on a random day of 2010 if it is None."""
+    return _user_trips(profile, [seed], [start_time])[0]
+
+
+def label_rows(*rows: tuple[int, int, str]) -> Labels:
+    """Label columns of (start, end, modality) rows, in the order given."""
+    return Labels([row[0] for row in rows], [row[1] for row in rows], [row[2] for row in rows])
 
 
 def random_profile(rng: np.random.Generator, user_id: str = "000") -> UserProfile:

@@ -2,6 +2,7 @@ import codecs
 import csv
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -149,6 +150,25 @@ class TestExtractCommand:
         assert too_few == 1 and iqr > 0 and below > 0
         assert assembled - too_few - iqr - below == final
         assert final == len((tmp_path / "out" / "features.csv").read_text().splitlines()) - 1
+
+    def test_infinite_iqr_mult_exits_1_creating_nothing(self, corpus_dir, tmp_path, capsys):
+        # inf times a zero IQR would give NaN fences that drop every trip.
+        out = tmp_path / "out"
+        assert main(["extract", "--root", str(corpus_dir / "raw"), "--out", str(out), "--iqr-mult", "inf"]) == 1
+        assert capsys.readouterr().err == "error: --iqr-mult must be finite, got inf\n"
+        assert not out.exists()
+
+    def test_shuffled_label_rows_extract_the_same_features(self, corpus_dir, features_csv, tmp_path):
+        # parse_labels puts the rows in start order, whatever their order in the file.
+        root = tmp_path / "raw"
+        shutil.copytree(corpus_dir / "raw", root)
+        for labels in sorted((root / "Data").glob("*/labels.txt")):
+            header, *rows = labels.read_text().splitlines(keepends=True)
+            assert len({row.split("\t")[0] for row in rows}) == len(rows)  # distinct starts
+            random.Random(labels.parent.name).shuffle(rows)
+            labels.write_text(header + "".join(rows))
+        assert main(["extract", "--root", str(root), "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
+        assert (tmp_path / "out" / "features.csv").read_bytes() == features_csv.read_bytes()
 
     def test_reextract_is_identical(self, corpus_dir, features_csv):
         out2 = corpus_dir / "extracted-again"
@@ -535,6 +555,7 @@ class TestConfigFile:
             ({"rate": "0.03"}, "config key 'rate' must be a number, got '0.03'"),
             ({"iqr_mult": False}, "config key 'iqr_mult' must be a number, got False"),
             ({"iqr_mult": float("nan")}, "--iqr-mult must be positive"),
+            ({"iqr_mult": float("inf")}, "--iqr-mult must be finite, got inf"),
         ):
             config.write_text(json.dumps(values))
             capsys.readouterr()

@@ -24,9 +24,9 @@ from tripkin.features import (
 )
 from tripkin.geokinematics import DuplicateTimestamp, TooFewPoints, Track, acceleration_sequence, speed_sequence
 from tripkin.ingest import Trip
-from tripkin.synth import UserProfile, generate_trip
+from tripkin.synth import UserProfile
 
-from helpers import equator_trip, feature_dataset, features_of, random_trips
+from helpers import equator_trip, feature_dataset, features_of, generate_trip, random_trips
 from oracles import naive_trip_features, quantile_interpolated, reduce_trips_loop
 
 
@@ -235,6 +235,14 @@ class TestIqrBounds:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             compute_iqr_bounds([])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_fences_are_infinite_and_keep_every_row(self):
+        # 1e308 times an IQR above 1.8 overflows, with no RuntimeWarning.
+        rows = np.random.default_rng(5).normal(0.0, 10.0, size=(40, len(FEATURE_NAMES)))
+        bounds = compute_iqr_bounds(rows, 1e308)
+        assert np.isneginf(bounds.lower).all() and np.isposinf(bounds.upper).all()
+        assert filter_outlier_trips(rows, bounds).all()
 
 
 class TestFilterOutlierTrips:

@@ -11,7 +11,6 @@ from tripkin.ingest import (
     MalformedLine,
     MissingRoot,
     Trip,
-    TripLabel,
     UserArchive,
     assemble_trips,
     format_labels,
@@ -20,6 +19,8 @@ from tripkin.ingest import (
     parse_labels,
     parse_plt,
 )
+
+from helpers import label_rows
 
 PLT_HEADER = "Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n0,2,255,My Track,0,0,2,8421376\n0\n"
 
@@ -144,9 +145,7 @@ class TestParseLabels:
         )
         assert dropped == 0
         expected_start = datetime(2008, 4, 2, 11, 24, 21, tzinfo=timezone.utc).timestamp()
-        assert labels[0].start_time == expected_start
-        assert labels[0].end_time - labels[0].start_time == 1584
-        assert labels[0].modality == "train"
+        assert labels == label_rows((expected_start, expected_start + 1584, "train"))
 
     def test_header_only(self):
         with pytest.raises(EmptyFile):
@@ -158,7 +157,7 @@ class TestParseLabels:
             "2008/04/02 12:00:00\t2008/04/02 12:30:00\tbus\n"
         )
         assert dropped == 1
-        assert [lab.modality for lab in labels] == ["bus"]
+        assert labels.modality == ["bus"]
 
     def test_wrong_field_count(self):
         with pytest.raises(MalformedLine):
@@ -173,7 +172,7 @@ class TestParseLabels:
 
     def test_unknown_modality_preserved_verbatim(self):
         labels, _ = parse_labels("h\n2008/04/02 11:24:21\t2008/04/02 11:50:45\thovercraft\n")
-        assert labels[0].modality == "hovercraft"
+        assert labels.modality == ["hovercraft"]
 
     def test_round_trip(self):
         text = (
@@ -183,29 +182,22 @@ class TestParseLabels:
             "0999/12/31 23:00:00\t0999/12/31 23:59:59\tbike\n"
         )
         labels, _ = parse_labels(text)
-        assert labels[2].start_time == datetime(999, 12, 31, 23, tzinfo=timezone.utc).timestamp()
-        assert format_labels(labels) == text
+        assert labels.start[0] == datetime(999, 12, 31, 23, tzinfo=timezone.utc).timestamp()
+        header, train, walk, bike = text.splitlines(keepends=True)
+        assert format_labels(labels) == header + bike + train + walk  # start order
         assert parse_labels(format_labels(labels)) == (labels, 0)
 
 
-class TestTripLabel:
+class TestLabels:
     # 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z in epoch seconds.
     FIRST, LAST = -62_135_596_800, 253_402_300_799
 
     def test_accepts_the_writable_range_edges(self):
-        labels = [
-            TripLabel(self.FIRST, self.FIRST + 60, "walk"),
-            TripLabel(self.LAST - 60, self.LAST, "bus"),
-        ]
+        labels = label_rows((self.FIRST, self.FIRST + 60, "walk"), (self.LAST - 60, self.LAST, "bus"))
         text = format_labels(labels)
         assert "0001/01/01 00:00:00\t0001/01/01 00:01:00\twalk" in text
         assert "9999/12/31 23:58:59\t9999/12/31 23:59:59\tbus" in text
         assert parse_labels(text) == (labels, 0)
-
-    def test_rejects_one_second_beyond_either_edge(self):
-        for start, end in ((self.FIRST - 1, self.FIRST + 60), (self.LAST - 60, self.LAST + 1)):
-            with pytest.raises(ValueError, match=r"\[0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z\]"):
-                TripLabel(start, end, "walk")
 
 
 def track(*times: int) -> Track:
@@ -217,7 +209,7 @@ class TestAssembleTrips:
         archive = UserArchive(
             "010",
             [track(50, 150, 160, 250)],
-            [TripLabel(100, 200, "walk")],
+            label_rows((100, 200, "walk")),
         )
         trips, skipped, _ = assemble_trips(archive)
         assert skipped == 0
@@ -225,14 +217,14 @@ class TestAssembleTrips:
 
     def test_closed_interval_boundaries(self):
         archive = UserArchive(
-            "010", [track(100, 200)], [TripLabel(100, 200, "walk")]
+            "010", [track(100, 200)], label_rows((100, 200, "walk"))
         )
         trips, _, _ = assemble_trips(archive)
         assert trips[0].points.t.tolist() == [100, 200]
 
     def test_too_few_points_skipped(self):
         archive = UserArchive(
-            "010", [track(50, 250)], [TripLabel(100, 200, "walk")]
+            "010", [track(50, 250)], label_rows((100, 200, "walk"))
         )
         trips, skipped, _ = assemble_trips(archive)
         assert trips == [] and skipped == 1
@@ -240,7 +232,7 @@ class TestAssembleTrips:
     def test_merges_multiple_files_sorted(self):
         file_a = track(120, 140)
         file_b = track(110, 130, 150)
-        archive = UserArchive("010", [file_a, file_b], [TripLabel(100, 200, "bike")])
+        archive = UserArchive("010", [file_a, file_b], label_rows((100, 200, "bike")))
         trips, _, duplicates = assemble_trips(archive)
         assert duplicates == 0
         stamps = trips[0].points.t.tolist()
@@ -251,7 +243,7 @@ class TestAssembleTrips:
         dup_b = (120, 20.0, 20.0)
         file_a = Track(*zip((110, 39.9, 116.3), dup_a))
         file_b = Track(*zip(dup_b, (130, 39.9, 116.3)))
-        archive = UserArchive("010", [file_a, file_b], [TripLabel(100, 200, "bus")])
+        archive = UserArchive("010", [file_a, file_b], label_rows((100, 200, "bus")))
         trips, _, duplicates = assemble_trips(archive)
         pts = trips[0].points
         at_120 = [(t, lat, lon) for t, lat, lon in zip(pts.t.tolist(), pts.lat.tolist(), pts.lon.tolist()) if t == 120]
@@ -260,11 +252,11 @@ class TestAssembleTrips:
 
     def test_never_emits_points_outside_label(self):
         pts = track(*range(0, 500, 7))
-        labels = [TripLabel(30, 90, "walk"), TripLabel(200, 260, "bus")]
+        labels = label_rows((30, 90, "walk"), (200, 260, "bus"))
         archive = UserArchive("010", [pts], labels)
         trips, _, _ = assemble_trips(archive)
-        for trip, lab in zip(trips, labels):
-            assert all(lab.start_time <= t <= lab.end_time for t in trip.points.t.tolist())
+        for trip, start, end in zip(trips, labels.start, labels.end):
+            assert all(start <= t <= end for t in trip.points.t.tolist())
         total_emitted = sum(len(t.points) for t in trips)
         assert total_emitted <= len(pts)
 
@@ -276,7 +268,7 @@ class TestLoadDataset:
         (traj / "20081023025304.plt").write_text(format_plt(track(*range(0, 100, 10))))
         if with_labels:
             (root / "Data" / user_id / "labels.txt").write_text(
-                format_labels([TripLabel(0, 60, "walk")])
+                format_labels(label_rows((0, 60, "walk")))
             )
 
     def test_only_labeled_users_load(self, tmp_path):
@@ -291,7 +283,7 @@ class TestLoadDataset:
         archive = list(iter_user_archives(tmp_path))[0]
         assert len(archive.trajectories) == 1
         assert len(archive.trajectories[0]) == 10
-        assert len(archive.labels) == 1
+        assert len(archive.labels.start) == 1
 
     def test_empty_data_dir_warns_not_raises(self, tmp_path):
         (tmp_path / "Data").mkdir()
@@ -350,7 +342,7 @@ class TestLoadDataset:
 
         monkeypatch.setattr(Path, "read_bytes", denied)
         bad, good = iter_user_archives(tmp_path)
-        assert bad == UserArchive("000", [], [], (f"{labels}: [Errno 13] Permission denied: '{labels}'",))
+        assert bad == UserArchive("000", [], label_rows(), (f"{labels}: [Errno 13] Permission denied: '{labels}'",))
         assert good.user_id == "001" and good.quarantined == () and len(good.trajectories) == 1
 
     def test_malformed_labels_are_quarantined(self, tmp_path, caplog):
@@ -363,7 +355,7 @@ class TestLoadDataset:
         with caplog.at_level("WARNING", logger="tripkin.ingest"):
             bad, good = iter_user_archives(tmp_path)
         entry = f"{labels}: line 2: expected 3 tab-separated fields, got 1"
-        assert bad == UserArchive("000", [], [], (entry,))
+        assert bad == UserArchive("000", [], label_rows(), (entry,))
         assert good.user_id == "001" and good.quarantined == () and len(good.trajectories) == 1
         assert [r.levelname for r in caplog.records if entry in r.getMessage()] == ["WARNING"]
 
@@ -373,7 +365,7 @@ class TestLoadDataset:
         # it form a batch that parses, each file warning with its own count.
         traj = tmp_path / "Data" / "000" / "Trajectory"
         traj.mkdir(parents=True)
-        (tmp_path / "Data" / "000" / "labels.txt").write_text(format_labels([TripLabel(0, 60, "walk")]))
+        (tmp_path / "Data" / "000" / "labels.txt").write_text(format_labels(label_rows((0, 60, "walk"))))
 
         def fixes(start, n, bad=0):
             return [f"{95.0 if i < bad else 39.9},116.3,0,0,0,1970-01-01,00:{start + i:02d}:00" for i in range(n)]
@@ -426,7 +418,7 @@ class TestLoadDataset:
     def test_lists_the_names_glob_picks_in_its_order(self, tmp_path):
         traj = tmp_path / "Data" / "000" / "Trajectory"
         traj.mkdir(parents=True)
-        (tmp_path / "Data" / "000" / "labels.txt").write_text(format_labels([TripLabel(0, 60, "walk")]))
+        (tmp_path / "Data" / "000" / "labels.txt").write_text(format_labels(label_rows((0, 60, "walk"))))
         for name in ("b.plt", ".x.plt", "a.plt", "Z.plt", "\u00e9.plt", "UPPER.PLT", "a.plt.bak", "plt", "c.plt~"):
             (traj / name).write_text("not a trajectory\n")  # each file read is quarantined, naming it
         (traj / "zz.plt").mkdir()

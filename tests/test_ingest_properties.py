@@ -19,14 +19,15 @@ from tripkin.ingest import (
     LABELS_HEADER,
     PLT_HEADER,
     EmptyFile,
+    Labels,
     MalformedLine,
-    TripLabel,
     format_labels,
     format_plt,
     parse_labels,
     parse_plt,
 )
 
+from helpers import label_rows
 from oracles import format_plt_datetime, parse_labels_lines, parse_plt_lines
 
 FULL_WIDTH = "０１２３９"
@@ -165,17 +166,19 @@ def test_format_then_parse_is_identity(rows):
 modality_token = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\t"), min_size=1, max_size=12
 ).filter(lambda s: s == s.strip() and s.splitlines() == [s])
-trip_label = st.builds(
-    lambda times, modality: TripLabel(*sorted(times), modality),
+label_row = st.builds(
+    lambda times, modality: (*sorted(times), modality),
     st.lists(st.integers(T_MIN, T_MAX), min_size=2, max_size=2, unique=True),
     modality_token,
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(trip_label, min_size=1, max_size=8))
-def test_format_labels_then_parse_is_identity(labels):
-    # synth.write_corpus writes every labels.txt through format_labels.
+@given(st.lists(label_row, min_size=1, max_size=8))
+def test_format_labels_then_parse_is_identity(rows):
+    # synth.write_corpus writes every labels.txt through format_labels, in
+    # start order, which parse_labels keeps.
+    labels = label_rows(*sorted(rows, key=lambda row: row[0]))
     text = format_labels(labels)
     assert parse_labels(text) == (labels, 0)
     assert parse_labels(text.encode()) == (labels, 0)
@@ -253,11 +256,15 @@ def labels_file(draw):
 
 
 def label_outcome(parse, data):
+    """(type, line, message) of what parse raises, else its (start, end, modality) rows in start
+    order and its drop count: parse_labels gives columns in start order, and the oracle's rows, in
+    file order, are stably sorted here."""
     try:
         labels, dropped = parse(data)
     except (MalformedLine, EmptyFile) as exc:
         return type(exc), getattr(exc, "line_no", None), str(exc)
-    return [(lab.start_time, lab.end_time, lab.modality) if isinstance(lab, TripLabel) else lab for lab in labels], dropped
+    rows = list(zip(*labels)) if isinstance(labels, Labels) else sorted(labels, key=lambda row: row[0])
+    return rows, dropped
 
 
 @settings(max_examples=600, deadline=None)

@@ -9,12 +9,11 @@ from tripkin.synth import (
     SyntheticCorpus,
     UserProfile,
     generate_corpus,
-    generate_trip,
     load_profiles,
     write_corpus,
 )
 
-from helpers import features_of
+from helpers import features_of, generate_trip
 from oracles import generate_trip_pointwise
 
 
