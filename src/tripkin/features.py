@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -47,12 +47,9 @@ class EmptyInput(ValueError):
     """An operation received an empty collection."""
 
 
-@dataclass(frozen=True)
-class IqrBounds:
-    """Per-feature quartiles and Tukey fences, aligned with FEATURE_NAMES."""
+class IqrBounds(NamedTuple):
+    """Per-feature Tukey fences, aligned with FEATURE_NAMES."""
 
-    q1: np.ndarray
-    q3: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
@@ -136,19 +133,17 @@ def extract_features(trips: Sequence[Trip]) -> np.ndarray:
     Equal-length trips are reduced together, as (k, L) arrays of at most
     _BLOCK points, each row to the bits of the 1-D reductions of its trip.
 
-    A Trip's timestamps are strictly ascending (Trip checks this, and
-    assemble_trips keeps one fix per timestamp), so DuplicateTimestamp
-    cannot arise from a trip built through Trip's constructor.
-
     Raises:
         TooFewPoints: a trip has fewer than 3 points (build_feature_dataset drops those).
+        DuplicateTimestamp: a stamp repeats or goes back, which no trip that
+            assemble_trips or synth builds does.
     """
     by_length: dict[int, list[int]] = {}
     for i, trip in enumerate(trips):
         by_length.setdefault(len(trip.points), []).append(i)
     out = np.empty((len(trips), len(FEATURE_NAMES)))
     for length, rows in by_length.items():
-        step = max(1, _BLOCK // length)
+        step = max(1, _BLOCK // (length or 1))  # an empty trip reaches TooFewPoints
         for start in range(0, len(rows), step):
             chunk = rows[start : start + step]
             t, lat, lon = (np.array([getattr(trips[i].points, c) for i in chunk]) for c in ("t", "lat", "lon"))
@@ -207,8 +202,11 @@ def compute_iqr_bounds(matrix, multiplier: float = 1.5) -> IqrBounds:
     """Tukey fences per feature column over all rows of all users pooled together.
 
     Raises:
+        ValueError: the multiplier is not finite and positive.
         EmptyInput: no rows.
     """
+    if not (multiplier > 0 and math.isfinite(multiplier)):
+        raise ValueError(f"IQR multiplier must be finite and positive, got {multiplier!r}")
     mat = np.asarray(matrix, dtype=float)
     if len(mat) == 0:
         raise EmptyInput("cannot compute bounds over zero rows")
@@ -216,7 +214,7 @@ def compute_iqr_bounds(matrix, multiplier: float = 1.5) -> IqrBounds:
     q3 = np.array([quantile(mat[:, j], 0.75) for j in range(mat.shape[1])])
     iqr = q3 - q1
     with np.errstate(over="ignore"):  # a fence beyond the float range is -inf or inf
-        return IqrBounds(q1=q1, q3=q3, lower=q1 - multiplier * iqr, upper=q3 + multiplier * iqr)
+        return IqrBounds(q1 - multiplier * iqr, q3 + multiplier * iqr)
 
 
 def filter_outlier_trips(rows: np.ndarray, bounds: IqrBounds) -> np.ndarray:

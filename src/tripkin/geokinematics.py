@@ -53,7 +53,7 @@ class Track:
     number of fixes and slicing returns a Track of views. Timestamps must
     be whole seconds in years 1-9999 and coordinates inside
     [-90, 90] x [-180, 180]; the order of the fixes is not checked here
-    (see ``ingest.Trip``).
+    (``speed_sequence`` rejects a repeated or backward stamp).
     """
 
     __slots__ = ("t", "lat", "lon")

@@ -85,18 +85,15 @@ class Labels(NamedTuple):
 
 @dataclass(frozen=True)
 class Trip:
-    """A user-attributed, modality-labeled track of at least 2 strictly time-ordered fixes."""
+    """A user-attributed, modality-labeled track of at least 2 strictly time-ordered fixes.
+
+    Its builders, assemble_trips and synth, make it so; it is not checked
+    again here (extract_features raises TooFewPoints or DuplicateTimestamp).
+    """
 
     user_id: str
     modality: str
     points: Track
-
-    def __post_init__(self) -> None:
-        if len(self.points) < 2:
-            raise ValueError(f"trip needs at least 2 points, got {len(self.points)}")
-        t = self.points.t
-        if not (t[1:] > t[:-1]).all():
-            raise ValueError("trip points must be strictly ascending in time")
 
 
 @dataclass(frozen=True)

@@ -163,17 +163,11 @@ def _screen(sum_l2, sum_r2, left_n, right_n, out):
     return np.subtract(1.0, out, out=out)
 
 
-def train_tree(
-    X,
-    labels,
-    max_depth: int | None = None,
-    min_samples_split: int = 2,
-) -> DecisionTree:
+def train_tree(X, labels) -> DecisionTree:
     """Grow an unpruned CART tree one depth at a time, then build its nodes deepest depth first.
 
-    Growth stops at pure nodes, nodes below min_samples_split, nodes at
-    max_depth (None = unlimited), and nodes whose rows are identical on
-    every feature (which become mixed-count leaves).
+    Growth stops only at pure nodes and at nodes whose rows are identical
+    on every feature (which become mixed-count leaves).
 
     Raises:
         ValueError: X is not 2-D, has a non-finite value, or its row
@@ -196,14 +190,8 @@ def train_tree(
     y = np.array([code_of[lab] for lab in labels], dtype=np.min_scalar_type(n_classes - 1))
     n, n_features = X.shape
 
-    def grows(counts: np.ndarray, depth: int) -> np.ndarray:
-        """Which nodes, given their (nodes, classes) counts, are split further."""
-        if max_depth is not None and depth >= max_depth:
-            return np.zeros(len(counts), dtype=bool)
-        return (np.count_nonzero(counts, axis=1) > 1) & (counts.sum(axis=1) >= min_samples_split)
-
     node_counts = np.bincount(y, minlength=n_classes)[None]
-    if not (n_features and grows(node_counts, 0)[0]):
+    if not (n_features and np.count_nonzero(node_counts) > 1):
         return DecisionTree(root=Leaf(node_counts[0]), classes=classes)
 
     # The level's nodes hold consecutive segments of perm's columns; row f
@@ -212,7 +200,6 @@ def train_tree(
     perm = np.argsort(XT, axis=1, kind="stable").astype(np.int32)  # int32 to save memory
     feat = np.arange(n_features)[:, None]  # row index of per-feature gathers
     levels = []  # per depth: node counts, split flags, features, thresholds, child counts, child grows
-    depth = 0
     while len(node_counts):
         size = node_counts.sum(axis=1)
         start = np.cumsum(size) - size
@@ -318,7 +305,7 @@ def train_tree(
         child_counts = np.bincount(
             child * n_classes + y[rows], minlength=(2 * n_split + 1) * n_classes
         ).reshape(-1, n_classes)[:-1]
-        child_grows = grows(child_counts, depth + 1)
+        child_grows = np.count_nonzero(child_counts, axis=1) > 1  # impure: two classes, so two rows
         levels.append((node_counts, split, best_f, thr, child_counts, child_grows))
 
         # Stable partition of every feature's row list by next-level node;
@@ -331,7 +318,6 @@ def train_tree(
         node_counts = child_counts[child_grows]
         keep = np.argsort(next_of_row[perm], axis=1, kind="stable")[:, : node_counts.sum()]
         perm = perm[feat, keep]
-        depth += 1
 
     # Deepest depth first: the children that grow are the next depth's
     # nodes, in order, left child first. Leaves copy their counts rather

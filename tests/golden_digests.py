@@ -1,8 +1,12 @@
 """Golden digests of whole pipeline runs: what each command prints and writes.
 
-Each case runs `synth`, `extract`, `classify` and `anomaly` in process on a
-benchmark workload's profiles (from bench/workloads.py), with the commands
-bench/run.py gives its children, and records:
+Each case runs `synth`, `extract`, `classify` and `anomaly` in process and
+records what they did. A benchmark workload's case takes its profiles from
+bench/workloads.py and runs the commands bench/run.py gives its children.
+The ci-corpus case replays the CI round trip's run-a: the profiles in
+tests/ci_corpus_profiles.json, synth with seed 1, user 000's first label
+renamed vélo, extract, then classify and anomaly with seed 0; its user 002
+is the one user the 30-trip minimum drops. Each case records:
 - each command line, its exit code and its stdout;
 - one digest per corpus user directory, of what synth wrote;
 - the sha256 of every file extract, classify and anomaly wrote;
@@ -34,9 +38,10 @@ from tripkin.cli import main as tripkin
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+CI_PROFILES = Path(__file__).resolve().parent / "ci_corpus_profiles.json"
 
 # (workload, seed) of each case; its file is tests/golden/<workload>-seed<seed>.json.
-CASES = (("paper-shape", 1), ("long-trips", 1))
+CASES = (("paper-shape", 1), ("long-trips", 1), ("ci-corpus", 1))
 
 
 def case_path(workload: str, seed: int) -> Path:
@@ -53,18 +58,29 @@ def _tree_digest(directory: Path) -> str:
     return _sha256("".join(f"{p.relative_to(directory).as_posix()}\0{_sha256(p.read_bytes())}\n" for p in files).encode())
 
 
+def relabel_velo(root: Path) -> None:
+    """Rename the modality of user 000's first label row to vélo, as CI's sed does."""
+    labels = root / "Data" / "000" / "labels.txt"
+    header, first, *rest = labels.read_text(encoding="utf-8").splitlines(keepends=True)
+    labels.write_text(header + first.rsplit("\t", 1)[0] + "\tvélo\n" + "".join(rest), encoding="utf-8")
+
+
 def run_case(workload: str, seed: int, work: Path) -> dict:
     """Run the case's four commands with work as the working directory and digest what they did."""
-    if str(BENCH) not in sys.path:
-        sys.path.insert(0, str(BENCH))
-    from workloads import WORKLOADS
+    if workload == "ci-corpus":
+        profiles, prepare, run_seed = json.loads(CI_PROFILES.read_text(encoding="utf-8")), relabel_velo, 0
+    else:
+        if str(BENCH) not in sys.path:
+            sys.path.insert(0, str(BENCH))
+        from workloads import WORKLOADS
 
-    wl = WORKLOADS[workload]
-    (work / "profiles.json").write_text(json.dumps(wl.profiles()), encoding="utf-8")
+        wl = WORKLOADS[workload]
+        profiles, prepare, run_seed = wl.profiles(), wl.prepare, seed
+    (work / "profiles.json").write_text(json.dumps(profiles), encoding="utf-8")
     argvs = [
         ["synth", "--profiles", "profiles.json", "--out", "corpus", "--seed", str(seed)],
         ["extract", "--root", "corpus", "--out", "out"],
-        *([cmd, "--features", "out/features.csv", "--out", "out", "--seed", str(seed)] for cmd in ("classify", "anomaly")),
+        *([cmd, "--features", "out/features.csv", "--out", "out", "--seed", str(run_seed)] for cmd in ("classify", "anomaly")),
     ]
     commands, corpus = [], {}
     cwd = os.getcwd()
@@ -77,8 +93,8 @@ def run_case(workload: str, seed: int, work: Path) -> dict:
             commands.append({"command": " ".join(argv), "exit": code, "stdout": stdout.getvalue()})
             if argv[0] == "synth":
                 corpus = {user.name: _tree_digest(user) for user in sorted(Path("corpus", "Data").iterdir())}
-                if wl.prepare:
-                    wl.prepare(Path("corpus"))
+                if prepare:
+                    prepare(Path("corpus"))
     finally:
         os.chdir(cwd)
     outputs = {p.name: _sha256(p.read_bytes()) for p in sorted((work / "out").iterdir())}

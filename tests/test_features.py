@@ -71,15 +71,18 @@ class TestExtractFeatures:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             extract_features([equator_trip([5.0, 5.0]), equator_trip([5.0])])
+        # Trip does not check its length; extract_features refuses 1 and 0 fixes too.
+        for n in (1, 0):
+            with pytest.raises(TooFewPoints):
+                extract_features([Trip("000", "walk", equator_trip([5.0] * 3).points[:n])])
 
     def test_duplicate_timestamp_propagates(self):
-        trip = equator_trip([5.0, 5.0, 5.0])
-        broken = type(trip)(trip.user_id, trip.modality, trip.points)
-        pts = trip.points
+        pts = equator_trip([5.0, 5.0, 5.0]).points
         repeated = Track(*(np.concatenate([c[:2], c[1:]]) for c in (pts.t, pts.lat, pts.lon)))
-        object.__setattr__(broken, "points", repeated)
-        with pytest.raises(DuplicateTimestamp):
-            extract_features([broken])
+        backward = Track(pts.t[::-1], pts.lat, pts.lon)
+        for broken in (repeated, backward):
+            with pytest.raises(DuplicateTimestamp):
+                extract_features([Trip("000", "walk", broken)])
 
     def test_matches_naive_oracle(self):
         for trip in random_trips(200, seed=5):
@@ -211,10 +214,12 @@ class TestIqrBounds:
         rows = [make_row(duration_s=float(v)) for v in range(1, 101)]
         bounds = compute_iqr_bounds(rows)
         j = FEATURE_NAMES.index("duration_s")
-        assert bounds.q1[j] == pytest.approx(25.75)
-        assert bounds.q3[j] == pytest.approx(75.25)
         assert bounds.lower[j] == pytest.approx(-48.5)
         assert bounds.upper[j] == pytest.approx(149.5)
+        # Fences at a second multiplier pin the quartiles, 25.75 and 75.25.
+        bounds = compute_iqr_bounds(rows, 1.0)
+        assert bounds.lower[j] == pytest.approx(-23.75)
+        assert bounds.upper[j] == pytest.approx(124.75)
 
     def test_degenerate_iqr(self):
         rows = [make_row(min_speed=0.0) for _ in range(10)]
@@ -227,14 +232,24 @@ class TestIqrBounds:
         rows = [make_row(max_speed=0.0), make_row(max_speed=10.0)]
         bounds = compute_iqr_bounds(rows)
         j = FEATURE_NAMES.index("max_speed")
-        assert bounds.q1[j] == pytest.approx(2.5)
-        assert bounds.q3[j] == pytest.approx(7.5)
         assert bounds.lower[j] == pytest.approx(-5.0)
         assert bounds.upper[j] == pytest.approx(15.0)
+        # Fences at a second multiplier pin the quartiles, 2.5 and 7.5.
+        bounds = compute_iqr_bounds(rows, 1.0)
+        assert bounds.lower[j] == pytest.approx(-2.5)
+        assert bounds.upper[j] == pytest.approx(12.5)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
             compute_iqr_bounds([])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("multiplier", [math.inf, math.nan, -1.0, 0.0])
+    def test_multiplier_must_be_finite_and_positive(self, multiplier):
+        # Each of these gave NaN, inverted or quartile fences, or a RuntimeWarning.
+        rows = [make_row(duration_s=float(v)) for v in range(5)]
+        with pytest.raises(ValueError, match="IQR multiplier must be finite and positive"):
+            compute_iqr_bounds(rows, multiplier)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_fences_are_infinite_and_keep_every_row(self):

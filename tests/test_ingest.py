@@ -10,7 +10,6 @@ from tripkin.ingest import (
     EmptyFile,
     MalformedLine,
     MissingRoot,
-    Trip,
     UserArchive,
     assemble_trips,
     format_labels,
@@ -449,12 +448,3 @@ class TestLoadDataset:
         first = list(iter_user_archives(tmp_path))
         second = list(iter_user_archives(tmp_path))
         assert first == second
-
-
-def test_trip_constructor_enforces_order():
-    with pytest.raises(ValueError):
-        Trip("000", "walk", track(2, 1))
-    with pytest.raises(ValueError):
-        Trip("000", "walk", track(1, 1))
-    with pytest.raises(ValueError):
-        Trip("000", "walk", track(1))

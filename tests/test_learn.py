@@ -115,13 +115,6 @@ class TestTrainTree:
             preds, _ = predict_batch(tree, X)
             assert accuracy(y, preds) == 1.0
 
-    def test_max_depth_limits_tree(self):
-        rng = np.random.default_rng(6)
-        X, y = random_fixture(rng)
-        tree = train_tree(X, y, max_depth=1)
-        assert isinstance(tree.root, Split)
-        assert isinstance(tree.root.left, Leaf) and isinstance(tree.root.right, Leaf)
-
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             train_tree(np.empty((0, 10)), [])
@@ -138,25 +131,30 @@ class TestTrainTree:
                 train_tree(X, ["a", "b", "a"])
 
     def test_one_depth_mixes_every_stop_condition(self, monkeypatch):
-        # At depth 2: a pure node, an impure node below min_samples_split,
-        # an impure node of identical rows, and a split whose children are
-        # leaves because of max_depth.
+        # At depth 2: a pure node, an impure node of identical rows, a
+        # two-row node that splits into pure leaves, and a node that keeps
+        # splitting down to depth 6.
         f0 = [0, 1, 2, 3, 10, 11, 60, 60, 60, 70, 71, 72, 73, 74, 75]
         X = np.column_stack([f0, np.zeros(len(f0))])
         y = list("aaaaba" "cdc" "efefef")
         for block in (learn._BLOCK, 1):
             monkeypatch.setattr(learn, "_BLOCK", block)
-            tree = train_tree(X, y, max_depth=3, min_samples_split=3)
-            want = cart_tree_per_feature(X, y, max_depth=3, min_samples_split=3)
+            tree = train_tree(X, y)
+            want = cart_tree_per_feature(X, y)
             assert same_node(tree.root, want.root)
             assert tree.classes == ("a", "e", "f", "c", "b", "d")
             pure, small = tree.root.left.left, tree.root.left.right
-            same_rows, capped = tree.root.right.left, tree.root.right.right
+            same_rows, deep = tree.root.right.left, tree.root.right.right
             assert pure.class_counts.tolist() == [4, 0, 0, 0, 0, 0]
-            assert small.class_counts.tolist() == [1, 0, 0, 0, 1, 0]
+            assert (small.feature_index, small.threshold) == (0, 10.5)
+            assert small.left.class_counts.tolist() == [0, 0, 0, 0, 1, 0]
+            assert small.right.class_counts.tolist() == [1, 0, 0, 0, 0, 0]
             assert same_rows.class_counts.tolist() == [0, 0, 0, 2, 0, 1]
-            assert (capped.feature_index, capped.threshold) == (0, 70.5)
-            assert capped.right.class_counts.tolist() == [0, 2, 3, 0, 0, 0]
+            for threshold, label in zip((70.5, 71.5, 72.5, 73.5, 74.5), "efefe"):
+                assert (deep.feature_index, deep.threshold) == (0, threshold)
+                assert deep.left.class_counts.tolist() == [0, int(label == "e"), int(label == "f"), 0, 0, 0]
+                deep = deep.right
+            assert deep.class_counts.tolist() == [0, 0, 1, 0, 0, 0]
 
     def test_tied_splits_prefer_lowest_feature_then_threshold(self):
         # Columns 1 and 2 both separate the labels perfectly; column 1 wins.
@@ -176,7 +174,7 @@ class TestTrainTree:
         # on a single feature; the lower threshold is chosen.
         X2 = np.array([[1.0], [2.0], [3.0]])
         y2 = ["a", "b", "a"]
-        tree2 = train_tree(X2, y2, max_depth=1)
+        tree2 = train_tree(X2, y2)
         assert tree2.root.threshold == pytest.approx(1.5)
 
     def test_monotone_transform_invariance(self):
@@ -239,23 +237,33 @@ def oracle_case(rng, case):
         X = rng.normal(size=(n, n_features))
         X[:, rng.integers(n_features)] = 3.0
     y = [f"u{rng.integers(n_classes)}" for _ in range(n)]
-    max_depth = (None, 1, 2, 3)[case % 7 % 4]
-    min_samples_split = 2 if case % 3 else int(rng.integers(3, 12))
-    return X, y, max_depth, min_samples_split
+    return X, y
 
 
-def check_random_cases(fit=train_tree):
-    """Trees and predictions of 320 seeded cases against the oracles."""
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """320 seeded cases, each with its oracle tree and 5 random probe rows.
+
+    Built once per module: the oracle reads none of learn's constants, so
+    the tests that patch them share its trees.
+    """
     rng = np.random.default_rng(2024)
+    cases = []
     for case in range(320):
-        X, y, max_depth, min_samples_split = oracle_case(rng, case)
-        got = fit(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
-        want = cart_tree_per_feature(X, y, max_depth=max_depth, min_samples_split=min_samples_split)
+        X, y = oracle_case(rng, case)
+        cases.append((X, y, cart_tree_per_feature(X, y), rng.normal(size=(5, X.shape[1]))))
+    return cases
+
+
+def check_random_cases(cases, fit=train_tree):
+    """Trees and predictions of the seeded cases against the oracles."""
+    for case, (X, y, want, noise) in enumerate(cases):
+        got = fit(X, y)
         assert got.classes == want.classes, case
         assert same_node(got.root, want.root), case
         # Rows lying exactly on each split's threshold check the <= side.
         on_cuts = np.repeat(np.array(thresholds(got.root)).reshape(-1, 1), X.shape[1], axis=1)
-        probe = np.vstack([X, rng.normal(size=(5, X.shape[1])), on_cuts])
+        probe = np.vstack([X, noise, on_cuts])
         got_labels, got_probs = predict_batch(got, probe)
         want_labels, want_probs = predict_batch(want, probe)
         assert got_labels == want_labels, case
@@ -268,16 +276,16 @@ def check_random_cases(fit=train_tree):
 
 
 class TestTreeMatchesPerFeatureOracle:
-    def test_random_cases_identical(self):
-        check_random_cases()
+    def test_random_cases_identical(self, oracle_cases):
+        check_random_cases(oracle_cases)
 
     @pytest.mark.parametrize("block", [1, 97])
-    def test_random_cases_identical_in_small_blocks(self, monkeypatch, block):
+    def test_random_cases_identical_in_small_blocks(self, monkeypatch, block, oracle_cases):
         # Small blocks split each depth into many node x feature blocks.
         monkeypatch.setattr(learn, "_BLOCK", block)
-        check_random_cases()
+        check_random_cases(oracle_cases)
 
-    def test_rescoring_every_valid_cut_changes_no_tree(self, monkeypatch):
+    def test_rescoring_every_valid_cut_changes_no_tree(self, monkeypatch, oracle_cases):
         # An infinite margin sends every valid cut past the screen to the
         # float expression; the screen must have kept every cut that could
         # win, so each tree equals the one grown at the default margin.
@@ -291,17 +299,17 @@ class TestTreeMatchesPerFeatureOracle:
 
             return wrapped
 
-        def both(X, y, **kwargs):
+        def both(X, y):
             trees = {}
             for name, margin in (("default", learn._MARGIN), ("every", np.inf)):
                 with monkeypatch.context() as m:
                     m.setattr(learn, "_MARGIN", margin)
                     m.setattr(learn, "_gini", counted(name))
-                    trees[name] = train_tree(X, y, **kwargs)
+                    trees[name] = train_tree(X, y)
             assert same_node(trees["every"].root, trees["default"].root)
             return trees["every"]
 
-        check_random_cases(fit=both)
+        check_random_cases(oracle_cases, fit=both)
         assert rescored["every"] > 2 * rescored["default"] > 0, rescored
 
     def test_tied_cuts_each_rescored(self, monkeypatch):
@@ -325,14 +333,15 @@ class TestTreeMatchesPerFeatureOracle:
 
         with monkeypatch.context() as m:
             m.setattr(learn, "_gini", recorded)
-            root = train_tree(X, y, max_depth=1).root
+            root = train_tree(X, y).root
         n_valid = sum(len(set(col)) - 1 for col in X.T.tolist())
-        # One call for the left and one for the right counts of the
-        # root's candidates: more than one, fewer than every valid cut.
-        assert len(shapes) == 2 and len(shapes[0]) == 2, shapes
+        # The root's depth is scored first: one call for the left and one
+        # for the right counts of its candidates, more than one and fewer
+        # than every valid cut. Deeper nodes' calls follow.
+        assert shapes[0] == shapes[1] and len(shapes[0]) == 2, shapes
         assert 2 <= shapes[0][0] < n_valid, (shapes, n_valid)
         assert root.feature_index == 0
-        assert same_node(root, cart_tree_per_feature(X, y, max_depth=1).root)
+        assert same_node(root, cart_tree_per_feature(X, y).root)
         for block in (learn._BLOCK, 1):
             monkeypatch.setattr(learn, "_BLOCK", block)
             assert same_node(train_tree(X, y).root, cart_tree_per_feature(X, y).root), block

@@ -71,14 +71,16 @@ class TestGenerateTrip:
         assert features_of(coarse)["max_speed"] < features_of(fine)["max_speed"]
 
     def test_separable_profiles_split_cleanly(self):
-        from tripkin.learn import train_tree, predict_batch
+        from tripkin.learn import Leaf, predict_batch, train_tree
 
         slow = profile(user_id="slow", mean_cruise_speed=5.0, speed_jitter=0.5, trips=20)
         fast = profile(user_id="fast", mean_cruise_speed=25.0, speed_jitter=0.5, trips=20)
         corpus = generate_corpus([slow, fast], seed=21)
         X = extract_features(corpus.trips)
         y = [t.user_id for t in corpus.trips]
-        tree = train_tree(X, y, max_depth=1)
+        tree = train_tree(X, y)
+        # One split, into two pure leaves.
+        assert isinstance(tree.root.left, Leaf) and isinstance(tree.root.right, Leaf)
         preds, _ = predict_batch(tree, X)
         assert preds == y
 
